@@ -136,7 +136,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Ingest posts a batch of points.
 func (c *Client) Ingest(ctx context.Context, pts []divmax.Vector) (api.IngestResponse, error) {
-	body, err := json.Marshal(api.IngestRequest{Points: pts})
+	body, err := api.AppendPoints(nil, pts)
 	if err != nil {
 		return api.IngestResponse{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,6 +244,57 @@ func TestCoordinatorBasics(t *testing.T) {
 	}
 	if err := c.Ready(ctx); err != nil {
 		t.Fatalf("readyz on a healthy cluster: %v", err)
+	}
+}
+
+// TestCoordinatorBatchBodies: the coordinator reads /v1/ingest and
+// /v1/delete bodies exactly as a worker does — malformed JSON and any
+// trailing data (including a stray '}' or ']') are 400, a body past
+// maxIngestBody is 413 whether the limit cuts the value or only the
+// whitespace after it — and a rejected body reaches no worker.
+func TestCoordinatorBatchBodies(t *testing.T) {
+	h := startHarness(t, HarnessOptions{
+		Workers:     2,
+		Worker:      server.Config{Shards: 1, MaxK: 4, KPrime: 8},
+		Coordinator: Config{MaxK: 4, ProbeInterval: -1},
+	})
+	post := func(path, body string) (int, api.ErrorEnvelope) {
+		t.Helper()
+		resp, err := http.Post(h.CoordServer.URL+api.Prefix+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env api.ErrorEnvelope
+		json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env
+	}
+	obj := `{"points": [[1,2]]}`
+	pad := func(s string, n int) string { return s + strings.Repeat(" ", n-len(s)) }
+	overLimit := []string{pad(`{"points": [[1,2],`, maxIngestBody+1), pad(obj, maxIngestBody+1)}
+	for _, path := range []string{"/ingest", "/delete"} {
+		for _, body := range []string{`not json`, obj + obj, obj + ` }`, obj + `]`} {
+			if code, env := post(path, body); code != http.StatusBadRequest || env.Error.Code != api.CodeBadRequest {
+				t.Errorf("%s %q: status %d code %q, want 400 %s", path, body, code, env.Error.Code, api.CodeBadRequest)
+			}
+		}
+		for _, body := range overLimit {
+			if code, env := post(path, body); code != http.StatusRequestEntityTooLarge || env.Error.Code != api.CodePayloadTooLarge {
+				t.Errorf("%s %q...: status %d code %q, want 413 %s", path, body[:20], code, env.Error.Code, api.CodePayloadTooLarge)
+			}
+		}
+	}
+	for _, wn := range h.Workers {
+		st, err := NewClient(ClientConfig{BaseURL: wn.URL()}).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.IngestedTotal != 0 || st.DeletesRequested != 0 {
+			t.Fatalf("a rejected body reached a worker: ingested %d, deletes %d", st.IngestedTotal, st.DeletesRequested)
+		}
+	}
+	if code, _ := post("/ingest", obj); code != http.StatusOK {
+		t.Fatalf("valid ingest after the rejected bodies: status %d", code)
 	}
 }
 

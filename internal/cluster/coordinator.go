@@ -33,7 +33,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -319,23 +318,13 @@ func (co *Coordinator) Handler() http.Handler {
 // maxIngestBody mirrors the worker-side bound.
 const maxIngestBody = 32 << 20
 
-// decodeBatch decodes an ingest- or delete-shaped body into req
-// (a pointer to a struct with a Points field), enforcing the body
-// bound and the trailing-data check. It reports whether decoding
+// decodeBatch reads an ingest- or delete-shaped body into req under
+// the body bound (api.ReadBatch). It reports whether decoding
 // succeeded; on failure the error response has been written.
-func decodeBatch(w http.ResponseWriter, r *http.Request, req any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err := dec.Decode(req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes; split the batch", tooBig.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return false
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "trailing data after the points object")
+func decodeBatch[R *api.IngestRequest | *api.DeleteRequest](w http.ResponseWriter, r *http.Request, req R) bool {
+	if err := api.ReadBatch(http.MaxBytesReader(w, r.Body, maxIngestBody), req); err != nil {
+		status, msg := api.BatchError(err)
+		httpError(w, status, "%s", msg)
 		return false
 	}
 	return true

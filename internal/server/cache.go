@@ -229,7 +229,7 @@ func (s *Server) merged(ctx context.Context, m divmax.Measure) (*familyCache, *m
 		if err != nil {
 			return nil, nil, mergeRebuilt, err
 		}
-		if st, how, ok := s.patchState(prev, replies); ok {
+		if st, how, ok := s.patchState(c, prev, replies); ok {
 			s.missesInvalidated.Add(1)
 			c.mu.Lock()
 			c.state = st
@@ -323,7 +323,7 @@ func (s *Server) degradedState(ctx context.Context, m divmax.Measure) (*mergeSta
 // any shard could not serve a pure delta (its core-set restructured
 // since prev) or the deltas exceed the configured fraction of the
 // cached union — the caller then takes the full path.
-func (s *Server) patchState(prev *mergeState, replies []snapReply) (*mergeState, mergeHow, bool) {
+func (s *Server) patchState(c *familyCache, prev *mergeState, replies []snapReply) (*mergeState, mergeHow, bool) {
 	total := 0
 	for _, r := range replies {
 		if !r.delta.Partial {
@@ -372,7 +372,11 @@ func (s *Server) patchState(prev *mergeState, replies []snapReply) (*mergeState,
 	// solve, so the interleaving fuzz harness pins warm-started answers
 	// bit for bit against genuinely re-solved ones.
 	if !s.cfg.DisableDeltaPatch {
-		if prev.solutions != nil && prev.solutions.len() > 0 {
+		// Queries still holding prev add answers to its memo under c.mu.
+		c.mu.Lock()
+		answered := prev.solutions != nil && prev.solutions.len() > 0
+		c.mu.Unlock()
+		if answered {
 			st.stale, st.staleLen = prev.solutions, len(prev.union)
 		} else {
 			st.stale, st.staleLen = prev.stale, prev.staleLen

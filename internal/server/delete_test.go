@@ -206,6 +206,13 @@ func TestDeleteValidation(t *testing.T) {
 	} else {
 		decodeErrorEnvelope(t, resp)
 	}
+	for _, body := range []string{`{"points": [[1,2]]} }`, `{"points": [[1,2]]}]`} {
+		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", body, resp.StatusCode)
+		} else {
+			decodeErrorEnvelope(t, resp)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/delete")
 	if err != nil {

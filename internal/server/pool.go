@@ -9,13 +9,14 @@ import (
 // The /ingest hot path recycles its two kinds of point-slice buffers
 // through a sync.Pool: the request decode buffer (one per in-flight
 // request) and the per-shard batch slices that ride the shard channels.
-// Only the outer []divmax.Vector backing arrays are reused — the Vector
-// elements themselves are freshly allocated by each JSON decode, because
-// shards retain accepted points (as SMM centers and delegates)
+// Only the outer []divmax.Vector backing arrays are reused — the batch
+// decoder (api.ReadBatch) allocates every point as a Vector of its own,
+// because shards retain accepted points (as SMM centers and delegates)
 // indefinitely. For the same reason every buffer is cleared before going
 // back to the pool: a stale Vector header would both pin the retained
-// point's backing array and, if json ever decoded into it in place,
-// corrupt a center already owned by a shard.
+// point's backing array and, if encoding/json ever decoded into it in
+// place (the decoder's fallback for non-canonical bodies), corrupt a
+// center already owned by a shard.
 
 var vecSlicePool = sync.Pool{New: func() any { return new([]divmax.Vector) }}
 

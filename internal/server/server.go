@@ -550,29 +550,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Decode into a pooled buffer: the outer []Vector backing array is
-	// recycled across requests (the Vectors themselves are fresh — the
-	// shards retain accepted points). The buffer is safe to release when
-	// the handler returns because the per-shard batches copy the point
-	// headers they need.
+	// recycled across requests, while the decoder allocates every point
+	// as a Vector of its own (api.ReadBatch) — the shards retain
+	// accepted points. The buffer is safe to release when the handler
+	// returns because the per-shard batches copy the point headers they
+	// need.
 	bufp := getVecSlice()
 	defer putVecSlice(bufp)
 	req := ingestRequest{Points: *bufp}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	err := dec.Decode(&req)
+	err := api.ReadBatch(http.MaxBytesReader(w, r.Body, maxIngestBody), &req)
 	if len(req.Points) > 0 {
 		*bufp = req.Points // hand any grown backing array back to the pool
 	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes; split the batch", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "trailing data after the points object")
+		status, msg := api.BatchError(err)
+		httpError(w, status, "%s", msg)
 		return
 	}
 	if len(req.Points) == 0 {
@@ -638,22 +630,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	bufp := getVecSlice()
 	defer putVecSlice(bufp)
 	req := deleteRequest{Points: *bufp}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	err := dec.Decode(&req)
+	err := api.ReadBatch(http.MaxBytesReader(w, r.Body, maxIngestBody), &req)
 	if len(req.Points) > 0 {
 		*bufp = req.Points
 	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes; split the batch", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "trailing data after the points object")
+		status, msg := api.BatchError(err)
+		httpError(w, status, "%s", msg)
 		return
 	}
 	if len(req.Points) == 0 {

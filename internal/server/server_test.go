@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"divmax"
+	"divmax/internal/api"
 	"divmax/internal/sequential"
 )
 
@@ -302,6 +304,13 @@ func TestIngestValidation(t *testing.T) {
 	if code := post(`{"points": [[1,2]]}{"points": [[3,4]]}`); code != http.StatusBadRequest {
 		t.Errorf("concatenated bodies: status %d, want 400", code)
 	}
+	// Trailing data that starts with a closing delimiter is trailing data
+	// too, though json.Decoder.More reports false before one.
+	for _, body := range []string{`{"points": [[1,2]]} }`, `{"points": [[1,2]]}]`} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", body, code)
+		}
+	}
 	if code := post(`{"points": [[1,2]]}`); code != http.StatusOK {
 		t.Errorf("valid ingest: status %d, want 200", code)
 	}
@@ -316,6 +325,34 @@ func TestIngestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /ingest: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestBatchBodyLimit: a body past maxIngestBody is 413
+// payload_too_large on /v1/ingest and /v1/delete, whether the limit cuts
+// the JSON value or only the whitespace after a complete one, and
+// nothing of it is ingested.
+func TestBatchBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 2, MaxK: 3, KPrime: 6})
+	obj := `{"points": [[1,2]]}`
+	pad := func(s string, n int) string { return s + strings.Repeat(" ", n-len(s)) }
+	overLimit := []string{pad(`{"points": [[1,2],`, maxIngestBody+1), pad(obj, maxIngestBody+1)}
+	for _, path := range []string{"/ingest", "/delete"} {
+		for _, body := range overLimit {
+			resp, err := http.Post(ts.URL+api.Prefix+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s, %q...: status %d, want 413", path, body[:20], resp.StatusCode)
+			}
+			if env := decodeErrorEnvelope(t, resp); env.Error.Code != api.CodePayloadTooLarge {
+				t.Errorf("%s, %q...: code %q, want %q", path, body[:20], env.Error.Code, api.CodePayloadTooLarge)
+			}
+		}
+	}
+	if st := getStats(t, ts.URL); st.IngestedTotal != 0 || st.DeletesRequested != 0 {
+		t.Fatalf("rejected bodies reached the shards: ingested %d, deletes %d", st.IngestedTotal, st.DeletesRequested)
 	}
 }
 
