@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos cluster-chaos durability envelope bench bench-json fmt vet ci
+.PHONY: build test race chaos cluster-chaos durability envelope bench bench-smoke bench-json fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,15 @@ envelope:
 # compiling and running.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Build the end-to-end benchmark (divmaxbench/, its own module) and run
+# its tests, which include a 1 s traced run of every workload against
+# real divmaxd processes (about 25 s). The benchmark imports internal
+# APIs — the solve engine, the api types, server.Config and
+# cluster.Config fields — so a refactor that renames one breaks it here
+# instead of silently.
+bench-smoke:
+	cd divmaxbench && $(GO) test ./...
 
 # Regenerate the performance trajectory (BENCH_PR10.json): GMM fast vs
 # pre-PR-2 generic (plus the blocked-tier high-dimensional rows vs the

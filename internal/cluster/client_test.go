@@ -112,7 +112,7 @@ func TestClientNonRetryable(t *testing.T) {
 	var n atomic.Int64
 	c, waits := captureClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.Add(1)
-		httpError(w, http.StatusBadRequest, "bad k")
+		api.WriteError(w, http.StatusBadRequest, "bad k")
 	}), ClientConfig{})
 	_, err := c.Query(context.Background(), "remote-edge", 99)
 	var he *HTTPError

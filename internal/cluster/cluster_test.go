@@ -394,6 +394,78 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 }
 
+// TestCoordinatorWarmStarts: the coordinator shares the server's merge
+// cache, warm starts included. One worker is fed remote-star churn near
+// existing centers — delegate-set joins that grow the core-set without
+// changing the selection — and every answer must equal a single-process
+// reference that builds every engine from scratch and never warm-starts
+// (DisableDeltaPatch), while the coordinator serves some warm.
+func TestCoordinatorWarmStarts(t *testing.T) {
+	worker := server.Config{Shards: 1, MaxK: 3, KPrime: 6, DeltaBudget: 16}
+	h := startHarness(t, HarnessOptions{
+		Workers:     1,
+		Worker:      worker,
+		Coordinator: Config{MaxK: 3, DeltaBudget: 16, ProbeInterval: -1},
+	})
+	coord := coordClient(t, h)
+	refCfg := worker
+	refCfg.DisableDeltaPatch = true
+	ref, err := server.New(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refc := NewClient(ClientConfig{BaseURL: newRefServer(t, ref)})
+
+	ctx := context.Background()
+	ingest := func(pts []divmax.Vector) {
+		t.Helper()
+		for _, c := range []*Client{coord, refc} {
+			if _, err := c.Ingest(ctx, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	query := func(what string) bool {
+		t.Helper()
+		qa, err := coord.Query(ctx, "remote-star", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qb, err := refc.Query(ctx, "remote-star", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswer(t, what, qa, qb)
+		if qb.WarmStarted {
+			t.Fatalf("%s: the reference warm-started", what)
+		}
+		return qa.WarmStarted
+	}
+	// Irregular spacings, so no two inter-point distances tie.
+	ingest([]divmax.Vector{
+		{0, 0}, {100000, 3000}, {4000, 97000}, {96000, 94000},
+		{52000, 41000}, {23000, 71000}, {69000, 18000},
+	})
+	query("initial")
+	warm := 0
+	targets := []divmax.Vector{{52000, 41000}, {0, 0}}
+	for r := range 12 {
+		tgt := targets[r%len(targets)]
+		ingest([]divmax.Vector{{tgt[0] + float64(3+2*r), tgt[1] + float64(5+3*r)}})
+		if query(fmt.Sprintf("round %d", r)) {
+			warm++
+		}
+	}
+	st, err := coord.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm == 0 || st.MemoWarmStarts != int64(warm) {
+		t.Fatalf("%d answers warm_started, memo_warm_starts %d; want both > 0 and equal", warm, st.MemoWarmStarts)
+	}
+}
+
 // TestCoordinatorRejectedIngestDoesNotPinDim reproduces a restarted
 // coordinator in front of populated workers: the coordinator's own
 // dataset-dimension tracker is empty, the workers' is not. A batch

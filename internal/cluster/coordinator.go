@@ -46,6 +46,7 @@ import (
 	"divmax"
 	"divmax/internal/api"
 	"divmax/internal/dataset"
+	"divmax/internal/merge"
 )
 
 // Config tunes a Coordinator.
@@ -197,9 +198,9 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// caches holds the per-family merge caches (query.go), indexed
-	// like the server's: 0 edge (SMM), 1 proxy (SMM-EXT).
-	caches [2]coordCache
+	// cache is the merge cache over the workers (query.go), with its
+	// query counters.
+	cache *merge.Cache[workerCursor]
 
 	// lats is the rolling window of successful snapshot round-trip
 	// times (nanoseconds) the adaptive hedge delay is computed from.
@@ -207,16 +208,6 @@ type Coordinator struct {
 	lats   []float64
 	latPos int
 
-	queries           atomic.Int64
-	merges            atomic.Int64
-	mergeNanos        atomic.Int64
-	cacheHits         atomic.Int64
-	missesCold        atomic.Int64
-	missesInvalidated atomic.Int64
-	deltaPatches      atomic.Int64
-	fullRebuilds      atomic.Int64
-	tiledSolves       atomic.Int64
-	degradedQueries   atomic.Int64
 	deletesRequested  atomic.Int64
 	deletesEvicting   atomic.Int64
 	deletesSpares     atomic.Int64
@@ -226,6 +217,10 @@ type Coordinator struct {
 // logf is the package's error logger; a variable so tests can intercept
 // what gets logged.
 var logf = log.Printf
+
+func writeJSON(w http.ResponseWriter, v any) {
+	api.WriteJSON(w, v, func(err error) { logf("cluster: encoding response: %v", err) })
+}
 
 // New builds a coordinator over cfg.Workers and starts its health
 // checker. Workers start admitted: the prober discovers reality within
@@ -253,9 +248,13 @@ func New(cfg Config) (*Coordinator, error) {
 		co.workers[i] = w
 	}
 	co.ring = newRing(len(co.workers), cfg.VNodes)
-	for i := range co.caches {
-		co.caches[i].rebuild = make(chan struct{}, 1)
-	}
+	co.cache = merge.New(workerSource{co}, merge.Config{
+		SolveWorkers: cfg.SolveWorkers,
+		Memo:         cfg.SolutionMemo,
+		DeltaBudget:  cfg.DeltaBudget,
+		UnchangedHit: true,
+		Quorum:       cfg.Quorum,
+	})
 	if cfg.ProbeInterval > 0 {
 		co.stop = make(chan struct{})
 		co.wg.Add(1)
@@ -324,7 +323,7 @@ const maxIngestBody = 32 << 20
 func decodeBatch[R *api.IngestRequest | *api.DeleteRequest](w http.ResponseWriter, r *http.Request, req R) bool {
 	if err := api.ReadBatch(http.MaxBytesReader(w, r.Body, maxIngestBody), req); err != nil {
 		status, msg := api.BatchError(err)
-		httpError(w, status, "%s", msg)
+		api.WriteError(w, status, "%s", msg)
 		return false
 	}
 	return true
@@ -332,11 +331,11 @@ func decodeBatch[R *api.IngestRequest | *api.DeleteRequest](w http.ResponseWrite
 
 func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if co.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
 		return
 	}
 	var req api.IngestRequest
@@ -348,17 +347,17 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := dataset.ValidateVectors(req.Points); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	dim := int64(len(req.Points[0]))
 	if dim == 0 {
-		httpError(w, http.StatusBadRequest, "points must have at least one coordinate")
+		api.WriteError(w, http.StatusBadRequest, "points must have at least one coordinate")
 		return
 	}
 	setDim := co.dim.CompareAndSwap(0, dim)
 	if !setDim && co.dim.Load() != dim {
-		httpError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, co.dim.Load())
+		api.WriteError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, co.dim.Load())
 		return
 	}
 
@@ -371,13 +370,13 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for _, p := range req.Points {
 		owner := co.ring.owner(hashPoint(p), alive)
 		if owner < 0 {
-			httpError(w, http.StatusServiceUnavailable, "cluster: no admitted workers")
+			api.WriteError(w, http.StatusServiceUnavailable, "cluster: no admitted workers")
 			return
 		}
 		batches[owner] = append(batches[owner], p)
 	}
 
-	ctx, cancel := requestCtx(r, co.cfg.IngestDeadline)
+	ctx, cancel := api.RequestContext(r, co.cfg.IngestDeadline)
 	defer cancel()
 	errs := make([]error, len(co.workers))
 	var delivered atomic.Int64
@@ -422,11 +421,11 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if co.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
 		return
 	}
 	var req api.DeleteRequest
@@ -438,11 +437,11 @@ func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := dataset.ValidateVectors(req.Points); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if dim, want := int64(len(req.Points[0])), co.dim.Load(); want != 0 && dim != want {
-		httpError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, want)
+		api.WriteError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, want)
 		return
 	}
 	// Deletes fail closed on an evicted worker: eviction reroutes
@@ -451,12 +450,12 @@ func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// delete after readmission is idempotent.)
 	for _, wk := range co.workers {
 		if !wk.admitted.Load() {
-			httpError(w, http.StatusServiceUnavailable, "cluster: worker %d (%s) evicted; deletes fail closed", wk.id, wk.url)
+			api.WriteError(w, http.StatusServiceUnavailable, "cluster: worker %d (%s) evicted; deletes fail closed", wk.id, wk.url)
 			return
 		}
 	}
 
-	ctx, cancel := requestCtx(r, co.cfg.IngestDeadline)
+	ctx, cancel := api.RequestContext(r, co.cfg.IngestDeadline)
 	defer cancel()
 	outcomes := make([][]int, len(co.workers))
 	errs := make([]error, len(co.workers))
@@ -485,7 +484,7 @@ func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	folded := make([]int, len(req.Points))
 	for _, outs := range outcomes {
 		if len(outs) != len(req.Points) {
-			httpError(w, http.StatusServiceUnavailable, "cluster: worker returned %d outcomes for %d points (version skew?)", len(outs), len(req.Points))
+			api.WriteError(w, http.StatusServiceUnavailable, "cluster: worker returned %d outcomes for %d points (version skew?)", len(outs), len(req.Points))
 			return
 		}
 		for j, o := range outs {
@@ -515,43 +514,21 @@ func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	resp := api.StatsResponse{
 		Shards:            []api.ShardStats{},
-		Queries:           co.queries.Load(),
-		Merges:            co.merges.Load(),
-		LastMergeMS:       float64(co.mergeNanos.Load()) / float64(time.Millisecond),
-		CacheHits:         co.cacheHits.Load(),
-		CacheMisses:       co.missesCold.Load() + co.missesInvalidated.Load(),
-		MissesCold:        co.missesCold.Load(),
-		MissesInvalidated: co.missesInvalidated.Load(),
-		DeltaPatches:      co.deltaPatches.Load(),
-		FullRebuilds:      co.fullRebuilds.Load(),
 		DeletesRequested:  co.deletesRequested.Load(),
 		DeletesEvicting:   co.deletesEvicting.Load(),
 		DeletesSpares:     co.deletesSpares.Load(),
 		DeletesTombstoned: co.deletesTombstoned.Load(),
-		SolveWorkers:      co.cfg.SolveWorkers,
-		TiledSolves:       co.tiledSolves.Load(),
-		DegradedQueries:   co.degradedQueries.Load(),
 		MaxK:              co.cfg.MaxK,
 		Draining:          co.draining.Load(),
 		Quorum:            co.cfg.Quorum,
 		Workers:           make([]api.WorkerStats, len(co.workers)),
 	}
-	for i := range co.caches {
-		c := &co.caches[i]
-		c.mu.Lock()
-		if st := c.state; st != nil {
-			resp.CachedCoresetPoints += len(st.union)
-			if st.engine != nil {
-				resp.CachedMatrixBytes += st.engine.MatrixBytes()
-			}
-		}
-		c.mu.Unlock()
-	}
+	co.cache.FillStats(&resp)
 	for i, wk := range co.workers {
 		ws := api.WorkerStats{
 			ID:                  wk.id,
@@ -582,11 +559,11 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 // alive, and may regain quorum).
 func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if co.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
 		return
 	}
 	if n := co.admittedCount(); n < co.cfg.Quorum {
-		httpError(w, http.StatusServiceUnavailable, "cluster: %d of %d workers admitted, quorum %d", n, len(co.workers), co.cfg.Quorum)
+		api.WriteError(w, http.StatusServiceUnavailable, "cluster: %d of %d workers admitted, quorum %d", n, len(co.workers), co.cfg.Quorum)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -8,24 +8,21 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"divmax"
 	"divmax/internal/api"
-	"divmax/internal/sequential"
+	"divmax/internal/merge"
 )
 
 // The coordinator's query path is the single-process server's, lifted
-// one level: where the server snapshots its in-process shards, the
-// coordinator snapshots its workers over HTTP — each worker's reply
-// already the merged core-set of that worker's shards — and then runs
-// the identical round-2 merge + solve on the union. The cache works the
-// same way too: per family, the last merged state, kept current by
-// per-worker snapshot cursors (the wire form of SnapshotSince): a round
-// where every worker returns an empty pure delta is a cache hit, small
-// deltas patch the cached union and engine in place (Fork +
-// AppendEngine), anything else rebuilds from full snapshots.
+// one level: the same merge cache (internal/merge), whose parts are the
+// workers instead of in-process shards — each worker's /v1/snapshot
+// reply already the merged core-set of that worker's shards. The
+// coordinator cannot see a worker's epochs, so no state is current
+// without a fetch round: the round itself, run with per-worker snapshot
+// cursors (the wire form of SnapshotSince), is the currency check, and
+// one in which every worker returns an empty pure delta is a cache hit.
 //
 // What is new at this level is distrust of the fan-out: every worker
 // call can be slow (hedged), failing (retried by the client, then
@@ -34,65 +31,43 @@ import (
 // handler then retries in degraded mode, answering from the survivors
 // when at least Quorum respond.
 
-func cacheIndex(proxy bool) int {
-	if proxy {
-		return 1
-	}
-	return 0
-}
-
-func famName(m divmax.Measure) string {
-	if m.NeedsInjectiveProxy() {
-		return "proxy"
-	}
-	return "edge"
-}
-
-// workerCursor is one worker's snapshot cursor as of a merged state,
-// tagged with the worker incarnation it was fetched under: a
-// readmission bumps the incarnation, so a cursor taken before the
-// worker went away is never replayed against its recovered state.
+// workerCursor is one worker's snapshot cursor, tagged with the worker
+// incarnation it was fetched under: a readmission bumps the incarnation,
+// so a cursor taken before the worker went away is never replayed
+// against its recovered state.
 type workerCursor struct {
 	cursor      api.SnapshotCursor
 	incarnation uint64
-	valid       bool
 }
 
-// coordState is one family's merged view of the whole cluster. union
-// and engine are immutable after construction; solutions is guarded by
-// the owning coordCache's mutex.
-type coordState struct {
-	cursors   []workerCursor
-	union     []divmax.Vector
-	engine    *sequential.Engine
-	processed int64
-	solutions *answerMemo
-}
+// workerSource is the coordinator's merge.Source.
+type workerSource struct{ *Coordinator }
 
-// coordCache mirrors the server's familyCache: mu guards the state
-// pointer and its memo; rebuild is the one-slot semaphore serializing
-// the fan-out + merge, selectable against the request deadline.
-type coordCache struct {
-	mu      sync.Mutex
-	rebuild chan struct{}
-	state   *coordState
-}
+func (co workerSource) Parts() int { return len(co.workers) }
 
-type mergeHow int
+// Current is never true: only a fetch round can tell that a worker's
+// view has not changed.
+func (workerSource) Current([]workerCursor) bool { return false }
 
-const (
-	mergeHit mergeHow = iota
-	mergePatched
-	mergeRebuilt
-)
-
-// requestCtx mirrors the server's: bound the request by d when
-// positive.
-func requestCtx(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return r.Context(), func() {}
+// Fetch reads worker part's view of family f, hedged, as a delta since
+// cur unless the worker was readmitted since cur was taken.
+func (co workerSource) Fetch(ctx context.Context, part, f int, cur *workerCursor) (merge.Reply[workerCursor], error) {
+	wk := co.workers[part]
+	if !wk.admitted.Load() {
+		return merge.Reply[workerCursor]{}, fmt.Errorf("cluster: worker %d (%s) evicted", wk.id, wk.url)
 	}
-	return context.WithTimeout(r.Context(), d)
+	inc := wk.incarnation.Load()
+	var ac *api.SnapshotCursor
+	if cur != nil && cur.incarnation == inc {
+		ac = &cur.cursor
+	}
+	resp, err := co.fetchSnapshot(ctx, wk, merge.FamilyNames[f], ac)
+	return merge.Reply[workerCursor]{
+		Partial:   resp.Partial,
+		Points:    resp.Points,
+		Processed: resp.Processed,
+		Cursor:    workerCursor{cursor: resp.Cursor, incarnation: inc},
+	}, err
 }
 
 // writeFailure maps a fan-out failure onto the wire with the same
@@ -104,20 +79,20 @@ func (co *Coordinator) writeFailure(w http.ResponseWriter, err error) {
 	var he *HTTPError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		httpError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+		api.WriteError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 	case errors.As(err, &he) && he.Status == http.StatusTooManyRequests:
 		if secs := int(math.Ceil(he.RetryAfter.Seconds())); secs > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		api.WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.As(err, &he) && he.Status == http.StatusBadRequest:
 		// A worker rejecting the request as malformed (e.g. a point
 		// dimension the dataset refuses) is the caller's error, not a
 		// cluster outage — propagate the 400 instead of masking it
 		// as unavailable.
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	}
 }
 
@@ -229,233 +204,9 @@ func (co *Coordinator) hedgeDelay() (time.Duration, bool) {
 	return min(max(d, lo), hi), true
 }
 
-// merged returns the family cache and an up-to-date merged state over
-// ALL workers, or an error if any worker is evicted or unreachable
-// (the handler then falls back to the degraded path). Cache currency is
-// established by the snapshot round itself: cursors from the cached
-// state ask each worker for a pure delta, and empty deltas all around
-// mean the cached union still reflects the whole stream.
-func (co *Coordinator) merged(ctx context.Context, m divmax.Measure) (*coordCache, *coordState, mergeHow, error) {
-	if co.draining.Load() {
-		return nil, nil, mergeRebuilt, errCoordDraining
-	}
-	c := &co.caches[cacheIndex(m.NeedsInjectiveProxy())]
-	select {
-	case c.rebuild <- struct{}{}:
-	case <-ctx.Done():
-		return nil, nil, mergeRebuilt, ctx.Err()
-	}
-	defer func() { <-c.rebuild }()
-	c.mu.Lock()
-	prev := c.state
-	c.mu.Unlock()
-	fam := famName(m)
-	n := len(co.workers)
-
-	// Round 1: fan SnapshotSince to every admitted worker, each with
-	// its cached cursor when the incarnation still matches (a cursor
-	// against a recovered worker's previous life would be answered with
-	// a delta relative to state it no longer serves).
-	incs := make([]uint64, n)
-	results := make([]api.SnapshotResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, wk := range co.workers {
-		if !wk.admitted.Load() {
-			errs[i] = fmt.Errorf("cluster: worker %d (%s) evicted", wk.id, wk.url)
-			continue
-		}
-		incs[i] = wk.incarnation.Load()
-		var cur *api.SnapshotCursor
-		if prev != nil && co.cfg.DeltaBudget >= 0 {
-			if wc := prev.cursors[i]; wc.valid && wc.incarnation == incs[i] {
-				cc := wc.cursor
-				cur = &cc
-			}
-		}
-		wg.Add(1)
-		go func(i int, wk *worker, cur *api.SnapshotCursor) {
-			defer wg.Done()
-			results[i], errs[i] = co.fetchSnapshot(ctx, wk, fam, cur)
-		}(i, wk, cur)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, mergeRebuilt, err
-		}
-	}
-
-	// A worker's reply is either a pure delta (Partial) or a complete
-	// core-set — /v1/snapshot never returns a partial non-delta.
-	allPartial := prev != nil
-	total := 0
-	for i := range results {
-		if results[i].Partial {
-			total += len(results[i].Points)
-		} else {
-			allPartial = false
-		}
-	}
-
-	var st *coordState
-	var how mergeHow
-	if allPartial && float64(total) <= co.cfg.DeltaBudget*float64(len(prev.union)) {
-		st = &coordState{cursors: cursorsOf(results, incs)}
-		for i := range results {
-			st.processed += results[i].Processed
-		}
-		if total == 0 {
-			// Every worker's view is unchanged (or its growth was
-			// absorbed): the union, engine, and solved answers carry
-			// over; only processed advances.
-			st.union, st.engine, st.solutions = prev.union, prev.engine, prev.solutions
-			co.cacheHits.Add(1)
-			how = mergeHit
-		} else {
-			var delta []divmax.Vector
-			for i := range results {
-				delta = append(delta, results[i].Points...)
-			}
-			st.union = append(prev.union[:len(prev.union):len(prev.union)], delta...)
-			st.solutions = newAnswerMemo(co.cfg.SolutionMemo)
-			if prev.engine == nil {
-				st.engine = sequential.BuildEngine(st.union, divmax.Euclidean, co.cfg.SolveWorkers)
-			} else {
-				eng := prev.engine.Fork()
-				if sequential.AppendEngine(eng, delta) {
-					st.engine = eng
-				} else {
-					st.engine = sequential.BuildEngine(st.union, divmax.Euclidean, co.cfg.SolveWorkers)
-				}
-			}
-			co.missesInvalidated.Add(1)
-			co.deltaPatches.Add(1)
-			how = mergePatched
-		}
-	} else {
-		// Full rebuild. Round-1 replies that came back complete are
-		// kept; the ones that came back as deltas are re-fetched in
-		// full (a delta is relative to a state this rebuild discards).
-		wg = sync.WaitGroup{}
-		for i := range results {
-			if !results[i].Partial {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = co.fetchSnapshot(ctx, co.workers[i], fam, nil)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, mergeRebuilt, err
-			}
-		}
-		st = &coordState{
-			cursors:   cursorsOf(results, incs),
-			solutions: newAnswerMemo(co.cfg.SolutionMemo),
-		}
-		for i := range results {
-			st.processed += results[i].Processed
-			st.union = append(st.union, results[i].Points...)
-		}
-		st.engine = sequential.BuildEngine(st.union, divmax.Euclidean, co.cfg.SolveWorkers)
-		if prev == nil {
-			co.missesCold.Add(1)
-		} else {
-			co.missesInvalidated.Add(1)
-		}
-		co.fullRebuilds.Add(1)
-		how = mergeRebuilt
-	}
-	c.mu.Lock()
-	c.state = st
-	c.mu.Unlock()
-	return c, st, how, nil
-}
-
-func cursorsOf(results []api.SnapshotResponse, incs []uint64) []workerCursor {
-	out := make([]workerCursor, len(results))
-	for i := range results {
-		out[i] = workerCursor{cursor: results[i].Cursor, incarnation: incs[i], valid: true}
-	}
-	return out
-}
-
-// degradedState builds a one-off merged state over whichever workers
-// answer a full snapshot round: per-worker failures are tolerated down
-// to Quorum responsive workers, below which the first failure is
-// returned (→ 503). Composability (Section 4 of the paper) keeps the
-// answer sound — the union of the survivors' core-sets is a valid
-// core-set for the points they ingested, same α+ε guarantee over the
-// surviving ground set. Like the server's, the state bypasses the
-// cache in both directions: never installed, no miss counters.
-func (co *Coordinator) degradedState(ctx context.Context, m divmax.Measure) (*coordState, int, error) {
-	fam := famName(m)
-	n := len(co.workers)
-	results := make([]api.SnapshotResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, wk := range co.workers {
-		if !wk.admitted.Load() {
-			errs[i] = fmt.Errorf("cluster: worker %d (%s) evicted", wk.id, wk.url)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, wk *worker) {
-			defer wg.Done()
-			results[i], errs[i] = co.fetchSnapshot(ctx, wk, fam, nil)
-		}(i, wk)
-	}
-	wg.Wait()
-	st := &coordState{}
-	missing := 0
-	var firstErr error
-	for i := range results {
-		if errs[i] != nil {
-			missing++
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			continue
-		}
-		st.processed += results[i].Processed
-		st.union = append(st.union, results[i].Points...)
-	}
-	if responsive := n - missing; responsive < co.cfg.Quorum {
-		return nil, missing, fmt.Errorf("cluster: %d of %d workers responsive, quorum is %d: %w", responsive, n, co.cfg.Quorum, firstErr)
-	}
-	st.engine = sequential.BuildEngine(st.union, divmax.Euclidean, co.cfg.SolveWorkers)
-	return st, missing, nil
-}
-
-// solveMerged mirrors the server's: index-based against the retained
-// engine when one was built, generic otherwise — bit-identical output
-// either way.
-func (co *Coordinator) solveMerged(m divmax.Measure, st *coordState, k int) []divmax.Vector {
-	if len(st.union) == 0 {
-		return nil
-	}
-	if st.engine != nil {
-		if st.engine.Tiled() {
-			co.tiledSolves.Add(1)
-		}
-		idx := sequential.SolveEngineIdx(m, st.engine, k)
-		sol := make([]divmax.Vector, len(idx))
-		for i, j := range idx {
-			sol[i] = st.union[j]
-		}
-		return sol
-	}
-	return sequential.Solve(m, st.union, k, divmax.Euclidean)
-}
-
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	q := r.URL.Query()
@@ -463,7 +214,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if name := q.Get("measure"); name != "" {
 		var err error
 		if m, err = divmax.ParseMeasure(name); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -471,15 +222,19 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if arg := q.Get("k"); arg != "" {
 		var err error
 		if k, err = strconv.Atoi(arg); err != nil {
-			httpError(w, http.StatusBadRequest, "bad k: %v", err)
+			api.WriteError(w, http.StatusBadRequest, "bad k: %v", err)
 			return
 		}
 	}
 	if k < 1 || k > co.cfg.MaxK {
-		httpError(w, http.StatusBadRequest, "k must be in [1, %d] (the coordinator's maxk), got %d", co.cfg.MaxK, k)
+		api.WriteError(w, http.StatusBadRequest, "k must be in [1, %d] (the coordinator's maxk), got %d", co.cfg.MaxK, k)
 		return
 	}
-	ctx, cancel := requestCtx(r, co.cfg.QueryDeadline)
+	if co.draining.Load() {
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", errCoordDraining)
+		return
+	}
+	ctx, cancel := api.RequestContext(r, co.cfg.QueryDeadline)
 	defer cancel()
 
 	// The healthy fan-out gets half the deadline; if it cannot complete
@@ -491,71 +246,16 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		mctx, mcancel = context.WithTimeout(ctx, co.cfg.QueryDeadline/2)
 		defer mcancel()
 	}
-	cache, st, how, err := co.merged(mctx, m)
-	degraded, missing := false, 0
+	resp, err := co.cache.Query(mctx, m, k, nil)
 	if err != nil {
-		if errors.Is(err, errCoordDraining) {
-			co.writeFailure(w, err)
-			return
-		}
-		st, missing, err = co.degradedState(ctx, m)
+		var missing int
+		resp, missing, err = co.cache.Degraded(ctx, m, k, nil)
 		if err != nil {
-			co.writeFailure(w, err)
+			n := len(co.workers)
+			co.writeFailure(w, fmt.Errorf("cluster: %d of %d workers responsive, quorum is %d: %w", n-missing, n, co.cfg.Quorum, err))
 			return
 		}
-		cache, how = nil, mergeRebuilt
-		degraded = missing > 0
-		if degraded {
-			co.degradedQueries.Add(1)
-		}
+		resp.WorkersMissing = missing
 	}
-	co.queries.Add(1)
-
-	key := answerKey{measure: m, k: k}
-	var memo solvedAnswer
-	haveMemo := false
-	if cache != nil {
-		cache.mu.Lock()
-		memo, haveMemo = st.solutions.get(key)
-		cache.mu.Unlock()
-	}
-	var elapsed time.Duration
-	if !haveMemo {
-		start := time.Now()
-		sol := co.solveMerged(m, st, k)
-		val, exact := divmax.Evaluate(m, sol, divmax.Euclidean)
-		if math.IsInf(val, 0) || math.IsNaN(val) {
-			// Min-based measures evaluate to +Inf on fewer than 2
-			// points; JSON cannot encode non-finite numbers, so report
-			// the degenerate diversity as 0 and flag it inexact.
-			val, exact = 0, false
-		}
-		elapsed = time.Since(start)
-		co.merges.Add(1)
-		co.mergeNanos.Store(int64(elapsed))
-		if sol == nil {
-			sol = []divmax.Vector{}
-		}
-		memo = solvedAnswer{sol: sol, val: val, exact: exact}
-		if cache != nil {
-			cache.mu.Lock()
-			st.solutions.put(key, memo)
-			cache.mu.Unlock()
-		}
-	}
-
-	writeJSON(w, api.QueryResponse{
-		Measure:        m.String(),
-		K:              k,
-		Solution:       memo.sol,
-		Value:          memo.val,
-		Exact:          memo.exact,
-		CoresetSize:    len(st.union),
-		Processed:      st.processed,
-		MergeMillis:    float64(elapsed) / float64(time.Millisecond),
-		Cached:         how == mergeHit,
-		Patched:        how == mergePatched,
-		Degraded:       degraded,
-		WorkersMissing: missing,
-	})
+	writeJSON(w, resp)
 }

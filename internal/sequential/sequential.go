@@ -34,9 +34,10 @@ import (
 // GMM branch dispatches (inside coreset.GMM) to the flat squared-distance
 // kernel — the traversal is O(n·k) distance evaluations, so it relaxes
 // against flat rows directly rather than paying an O(n²) matrix fill.
-// Callers that already hold a DistMatrix (mrdiv.SolveCoresets, the
-// divmaxd query cache) use SolveMatrix instead, where the GMM branch
-// also runs on matrix rows.
+// Callers that reuse one union across solves build its Engine once and
+// solve on it instead: mrdiv.SolveCoresets through SolveEngine for
+// remote-clique, the divmaxd merge cache (internal/merge) through
+// SolveEngineIdx for every measure.
 func Solve[P any](m diversity.Measure, pts []P, k int, d metric.Distance[P]) []P {
 	if k < 1 {
 		panic(fmt.Sprintf("sequential: Solve requires k >= 1, got %d", k))

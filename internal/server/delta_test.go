@@ -177,13 +177,14 @@ func runDeltaSchedule(t *testing.T, data []byte) statsResponse {
 // engineMode reports the cached engine's mode for a family —
 // "matrix", "tiled", or "none" (no state or a sub-2-point union).
 func engineMode(s *Server, proxy bool) string {
-	c := &s.caches[cacheIndex(proxy)]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case c.state == nil || c.state.engine == nil:
+	f := 0
+	if proxy {
+		f = 1
+	}
+	switch e := s.cache.Engine(f); {
+	case e == nil:
 		return "none"
-	case c.state.engine.Tiled():
+	case e.Tiled():
 		return "tiled"
 	default:
 		return "matrix"

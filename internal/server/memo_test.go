@@ -7,65 +7,6 @@ import (
 	"divmax"
 )
 
-func memoVal(i int) solvedQuery {
-	return solvedQuery{sol: []divmax.Vector{{float64(i)}}, val: float64(i), exact: true}
-}
-
-// TestSolutionMemoLRU pins the memo's bound and its eviction order:
-// capacity is enforced, the least-recently-used entry goes first, and
-// both get and put refresh recency.
-func TestSolutionMemoLRU(t *testing.T) {
-	m := newSolutionMemo(3)
-	keys := make([]solutionKey, 5)
-	for i := range keys {
-		keys[i] = solutionKey{measure: divmax.RemoteEdge, k: i + 1}
-	}
-	for i := 0; i < 3; i++ {
-		m.put(keys[i], memoVal(i))
-	}
-	if m.len() != 3 {
-		t.Fatalf("memo holds %d entries, want 3", m.len())
-	}
-	// Touch key 0 so key 1 becomes the LRU, then overflow.
-	if v, ok := m.get(keys[0]); !ok || v.val != 0 {
-		t.Fatalf("get(keys[0]) = (%v, %v)", v, ok)
-	}
-	m.put(keys[3], memoVal(3))
-	if m.len() != 3 {
-		t.Fatalf("memo holds %d entries after eviction, want 3", m.len())
-	}
-	if _, ok := m.get(keys[1]); ok {
-		t.Fatal("LRU entry (keys[1]) survived the eviction")
-	}
-	for _, want := range []int{0, 2, 3} {
-		if v, ok := m.get(keys[want]); !ok || v.val != float64(want) {
-			t.Fatalf("keys[%d] = (%v, %v), want retained", want, v, ok)
-		}
-	}
-	// put on an existing key must refresh, not grow or evict.
-	m.put(keys[2], memoVal(12))
-	if v, _ := m.get(keys[2]); v.val != 12 || m.len() != 3 {
-		t.Fatalf("refreshed keys[2] = %v (len %d)", v.val, m.len())
-	}
-	// Recency after the refresh loop above: keys[0] is now LRU (last
-	// touched before 2 and 3 — get order was 0, 2, 3, then put 2).
-	m.put(keys[4], memoVal(4))
-	if _, ok := m.get(keys[0]); ok {
-		t.Fatal("expected keys[0] to be evicted as LRU")
-	}
-
-	// A degenerate capacity still behaves (clamped to 1).
-	one := newSolutionMemo(0)
-	one.put(keys[0], memoVal(0))
-	one.put(keys[1], memoVal(1))
-	if one.len() != 1 {
-		t.Fatalf("cap-1 memo holds %d entries", one.len())
-	}
-	if _, ok := one.get(keys[1]); !ok {
-		t.Fatal("cap-1 memo lost the newest entry")
-	}
-}
-
 // TestQueryMemoEvictionStillServes drives a live server with a memo of
 // capacity 1: every (measure, k) answer evicts the previous one, and
 // repeated queries must still be correct (re-solved from the cached

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"sync"
 	"unsafe"
 
@@ -148,14 +147,4 @@ func (s *Server) unproject(sol []divmax.Vector) []divmax.Vector {
 	}
 	s.proj.mu.RUnlock()
 	return out
-}
-
-// sanitizeValue maps the non-finite degenerate evaluations (min-based
-// measures over fewer than 2 points) onto the wire contract: value 0,
-// flagged inexact. JSON cannot encode ±Inf/NaN.
-func sanitizeValue(val float64, exact bool) (float64, bool) {
-	if math.IsInf(val, 0) || math.IsNaN(val) {
-		return 0, false
-	}
-	return val, exact
 }

@@ -14,6 +14,7 @@ import (
 	"divmax"
 	"divmax/internal/api"
 	"divmax/internal/faults"
+	"divmax/internal/merge"
 	"divmax/internal/sequential"
 )
 
@@ -66,20 +67,17 @@ func TestDegradedAnswerMatchesSurvivorReference(t *testing.T) {
 		// The reference: the same degraded snapshot round the handler
 		// runs, survivors concatenated in shard order, engine built
 		// fresh, solved by the index-based round-2 solver.
-		replies, err := srv.snapshots(context.Background(), m, nil, true)
-		if err != nil {
-			t.Fatalf("%v: reference snapshots: %v", m, err)
-		}
 		var union []divmax.Vector
 		var processed int64
 		missing := 0
-		for _, r := range replies {
-			if r.err != nil {
+		for i := range srv.shards {
+			r, err := shardSource{srv}.Fetch(context.Background(), i, merge.Family(m), nil)
+			if err != nil {
 				missing++
 				continue
 			}
-			processed += r.delta.Processed
-			union = append(union, r.delta.Points...)
+			processed += r.Processed
+			union = append(union, r.Points...)
 		}
 		if missing != 1 {
 			t.Fatalf("%v: reference round missing %d shards, want 1", m, missing)

@@ -10,12 +10,12 @@
 // MaxDiversity for any of the six measures within the usual α+ε
 // envelope, without ever rescanning the data.
 //
-// The query path is cached (cache.go): while no shard has accepted a new
-// batch, repeated queries — any k, any measure of the same family —
-// reuse the previously merged core-set and its pairwise distance matrix
-// instead of re-snapshotting, re-merging, and re-filling; any /ingest
-// invalidates via per-shard epochs. Results are identical with and
-// without the cache.
+// The query path is cached (internal/merge, the shards as its parts):
+// while no shard has accepted a new batch, repeated queries — any k, any
+// measure of the same family — reuse the previously merged core-set and
+// its pairwise distance matrix instead of re-snapshotting, re-merging,
+// and re-filling; any /ingest invalidates via per-shard epochs. Results
+// are identical with and without the cache.
 //
 // The stream is fully dynamic: POST /delete removes points by value —
 // broadcast to every shard, swept from both core-set families. A
@@ -38,7 +38,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -55,6 +54,7 @@ import (
 	"divmax/internal/api"
 	"divmax/internal/dataset"
 	"divmax/internal/faults"
+	"divmax/internal/merge"
 	"divmax/internal/wal"
 )
 
@@ -287,26 +287,9 @@ type Server struct {
 	mu       sync.RWMutex
 	draining bool
 
-	// caches holds the per-family query-path snapshot caches (cache.go).
-	caches    [cacheFamilies]familyCache
-	cacheHits atomic.Int64
-	// Cache misses split by cause: missesCold counts first queries
-	// against a family (no state to patch or reuse — server start or
-	// first query of that family), missesInvalidated counts queries
-	// that found the cached state stale because a shard accepted a
-	// batch. Every miss resolves as either a delta patch or a full
-	// rebuild.
-	missesCold        atomic.Int64
-	missesInvalidated atomic.Int64
-	deltaPatches      atomic.Int64
-	fullRebuilds      atomic.Int64
-	// tiledSolves counts solves served through the tiled engine (merged
-	// union past the matrix memory budget — no n² buffer materialized).
-	tiledSolves atomic.Int64
-	// memoWarmStarts counts stale (measure, k) answers served after the
-	// replay verification proved them identical to a cold solve over
-	// the patched union (delta-aware memo reuse; cache.go).
-	memoWarmStarts atomic.Int64
+	// cache is the query path's merge cache over the shards
+	// (snapshot.go), with its query counters.
+	cache *merge.Cache[shardCursor]
 	// Deletion counters, per /delete request point: each point lands in
 	// exactly one bucket by its strongest outcome across shards and
 	// families — evicting > spares > tombstoned.
@@ -315,22 +298,16 @@ type Server struct {
 	deletesSpares     atomic.Int64
 	deletesTombstoned atomic.Int64
 
-	queries    atomic.Int64
-	merges     atomic.Int64
-	mergeNanos atomic.Int64 // duration of the last merge+solve
-
 	// Opt-in JL projection state (project.go): the lazily built
 	// projector plus the projected→original map, and the count of
 	// points projected at ingest.
 	proj            projection
 	projectedPoints atomic.Int64
 
-	// Robustness counters: queries answered from surviving shards only,
-	// and requests shed with 429 by the bounded-backpressure (ingest)
-	// and inflight-query (query) limiters.
-	degradedQueries atomic.Int64
-	ingestSheds     atomic.Int64
-	querySheds      atomic.Int64
+	// Requests shed with 429 by the bounded-backpressure (ingest) and
+	// inflight-query (query) limiters.
+	ingestSheds atomic.Int64
+	querySheds  atomic.Int64
 
 	// querySem is the inflight-query limiter (nil when uncapped): a
 	// query holds one slot across its merge and solve, so a burst
@@ -366,9 +343,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight > 0 {
 		s.querySem = make(chan struct{}, cfg.MaxInflight)
 	}
-	for i := range s.caches {
-		s.caches[i].rebuild = make(chan struct{}, 1)
-	}
+	s.cache = merge.New(shardSource{s}, merge.Config{
+		SolveWorkers: cfg.SolveWorkers,
+		Memo:         cfg.SolutionMemo,
+		DeltaBudget:  cfg.DeltaBudget,
+		Reference:    cfg.DisableDeltaPatch,
+		Quorum:       1,
+	})
 	logs := make([]*wal.Log, cfg.Shards)
 	if cfg.DataDir != "" {
 		for i := range logs {
@@ -546,7 +527,7 @@ type (
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	// Decode into a pooled buffer: the outer []Vector backing array is
@@ -564,7 +545,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		status, msg := api.BatchError(err)
-		httpError(w, status, "%s", msg)
+		api.WriteError(w, status, "%s", msg)
 		return
 	}
 	if len(req.Points) == 0 {
@@ -572,16 +553,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := dataset.ValidateVectors(req.Points); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	dim := int64(len(req.Points[0]))
 	if dim == 0 {
-		httpError(w, http.StatusBadRequest, "points must have at least one coordinate")
+		api.WriteError(w, http.StatusBadRequest, "points must have at least one coordinate")
 		return
 	}
 	if !s.dim.CompareAndSwap(0, dim) && s.dim.Load() != dim {
-		httpError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, s.dim.Load())
+		api.WriteError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, s.dim.Load())
 		return
 	}
 	// With projection on, the shards fold the reduced-space batch; the
@@ -603,7 +584,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		*batches[sh] = append(*batches[sh], p)
 	}
 
-	ctx, cancel := requestCtx(r, s.cfg.IngestDeadline)
+	ctx, cancel := api.RequestContext(r, s.cfg.IngestDeadline)
 	defer cancel()
 	if err := s.send(ctx, batches); err != nil {
 		s.writeFailure(w, err)
@@ -612,19 +593,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ingestResponse{Accepted: len(req.Points), Shards: len(s.shards)})
 }
 
-// requestCtx derives the request context bounded by the configured
-// deadline; d <= 0 leaves the request unbounded (the client hanging up
-// still cancels it). The caller defers cancel.
-func requestCtx(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	bufp := getVecSlice()
@@ -636,7 +607,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		status, msg := api.BatchError(err)
-		httpError(w, status, "%s", msg)
+		api.WriteError(w, status, "%s", msg)
 		return
 	}
 	if len(req.Points) == 0 {
@@ -644,7 +615,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := dataset.ValidateVectors(req.Points); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Deletes of a dimension the stream has never seen cannot match
@@ -652,7 +623,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// does. An empty server (dim still 0) accepts any dimension — every
 	// point is a tombstone.
 	if dim, want := int64(len(req.Points[0])), s.dim.Load(); want != 0 && dim != want {
-		httpError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, want)
+		api.WriteError(w, http.StatusBadRequest, "point dimension %d does not match the dataset dimension %d", dim, want)
 		return
 	}
 	pts := req.Points
@@ -663,7 +634,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.dim.CompareAndSwap(0, int64(len(req.Points[0])))
 		pts = s.projectDelete(req.Points)
 	}
-	ctx, cancel := requestCtx(r, s.cfg.IngestDeadline)
+	ctx, cancel := api.RequestContext(r, s.cfg.IngestDeadline)
 	defer cancel()
 	outcomes, err := s.deleteAll(ctx, pts)
 	if err != nil {
@@ -851,79 +822,9 @@ func (s *Server) logAndDeliver(ctx context.Context, sh *shard, kind wal.Kind, pt
 	return err
 }
 
-// snapshots asks every shard for a point-in-time view of the core-set
-// family serving measure m, returning the views together with each
-// shard's ingest epoch at snapshot time. When prev is non-nil the
-// request is incremental: each shard answers with a pure delta of the
-// points that joined its core-set since prev's (generation, position)
-// for that shard, or a full snapshot if it restructured. prev == nil
-// forces full snapshots. The requests ride the same channels as ingest
-// batches, so each snapshot reflects everything its shard accepted
-// before the request — no locks around the processors are ever needed.
-//
-// Every channel wait selects against the request deadline. With
-// degraded=false the first failure — a failed shard, an expired
-// deadline, a dropped reply — fails the whole round; with degraded=true
-// the round always returns one reply per shard, recording per-shard
-// errors in snapReply.err so the caller can merge the survivors
-// (composability makes their union a valid core-set for the points
-// they ingested). Snapshot requests never load-shed: a full queue is
-// bounded by the deadline alone, so a slow shard turns into 504 — or a
-// missing shard in degraded mode — not a spurious 429.
-func (s *Server) snapshots(ctx context.Context, m divmax.Measure, prev *mergeState, degraded bool) ([]snapReply, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
-		return nil, errDraining
-	}
-	proxy := m.NeedsInjectiveProxy()
-	replies := make([]chan snapReply, len(s.shards))
-	out := make([]snapReply, len(s.shards))
-	for i, sh := range s.shards {
-		if sh.failed() {
-			err := &shardFailedError{id: sh.id}
-			if !degraded {
-				return nil, err
-			}
-			out[i] = snapReply{err: err}
-			continue
-		}
-		replies[i] = make(chan snapReply, 1)
-		msg := shardMsg{snap: replies[i], proxy: proxy, pos: -1}
-		if prev != nil {
-			msg.gen, msg.pos = prev.gens[i], prev.poss[i]
-		}
-		if err := s.deliver(ctx, sh, msg, false); err != nil {
-			if !degraded {
-				return nil, err
-			}
-			out[i] = snapReply{err: err}
-			replies[i] = nil
-		}
-	}
-	for i, ch := range replies {
-		if ch == nil {
-			continue
-		}
-		select {
-		case rep := <-ch:
-			if rep.err != nil && !degraded {
-				return nil, rep.err
-			}
-			out[i] = rep
-		case <-ctx.Done():
-			if !degraded {
-				return nil, ctx.Err()
-			}
-			out[i] = snapReply{err: ctx.Err()}
-		}
-	}
-	return out, nil
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	q := r.URL.Query()
@@ -931,7 +832,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if name := q.Get("measure"); name != "" {
 		var err error
 		if m, err = divmax.ParseMeasure(name); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -939,15 +840,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if arg := q.Get("k"); arg != "" {
 		var err error
 		if k, err = strconv.Atoi(arg); err != nil {
-			httpError(w, http.StatusBadRequest, "bad k: %v", err)
+			api.WriteError(w, http.StatusBadRequest, "bad k: %v", err)
 			return
 		}
 	}
 	if k < 1 || k > s.cfg.MaxK {
-		httpError(w, http.StatusBadRequest, "k must be in [1, %d] (the server's maxk), got %d", s.cfg.MaxK, k)
+		api.WriteError(w, http.StatusBadRequest, "k must be in [1, %d] (the server's maxk), got %d", s.cfg.MaxK, k)
 		return
 	}
-	ctx, cancel := requestCtx(r, s.cfg.QueryDeadline)
+	ctx, cancel := api.RequestContext(r, s.cfg.QueryDeadline)
 	defer cancel()
 
 	// The inflight-query limiter: a query holds one slot across its
@@ -975,151 +876,53 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The merge: round-2 aggregation over the composable per-shard
-	// core-sets — served from the snapshot cache while no shard accepted
-	// a batch since it was built, patched in place when the shards can
-	// serve pure deltas, rebuilt (snapshot + merge + matrix fill)
-	// otherwise. With degraded queries enabled, the normal fan-out gets
-	// half the deadline: if it cannot complete — a failed shard, a
-	// wedged one — the remainder buys a degraded round over the
-	// surviving shards instead of a bare 503/504.
+	// core-sets — served from the merge cache while no shard accepted a
+	// batch since it was built, patched when the shards can serve pure
+	// deltas, rebuilt (snapshot + merge + matrix fill) otherwise. With
+	// degraded queries enabled, the normal fan-out gets half the
+	// deadline: if it cannot complete — a failed shard, a wedged one —
+	// the remainder buys a degraded round over the surviving shards
+	// instead of a bare 503/504. Under projection the solver picks
+	// projected points, mapped back to the originals before evaluating.
 	mctx := ctx
 	if s.cfg.DegradedQueries && s.cfg.QueryDeadline > 0 {
 		var mcancel context.CancelFunc
 		mctx, mcancel = context.WithTimeout(ctx, s.cfg.QueryDeadline/2)
 		defer mcancel()
 	}
-	cache, st, how, err := s.merged(mctx, m)
-	degraded, missing := false, 0
+	resp, err := s.cache.Query(mctx, m, k, s.unproject)
+	if err != nil && s.cfg.DegradedQueries && !errors.Is(err, errDraining) {
+		var missing int
+		resp, missing, err = s.cache.Degraded(ctx, m, k, s.unproject)
+		resp.ShardsMissing = missing
+	}
 	if err != nil {
-		if !s.cfg.DegradedQueries || errors.Is(err, errDraining) {
-			s.writeFailure(w, err)
-			return
-		}
-		st, missing, err = s.degradedState(ctx, m)
-		if err != nil {
-			s.writeFailure(w, err)
-			return
-		}
-		cache, how = nil, mergeRebuilt
-		degraded = missing > 0
-		if degraded {
-			s.degradedQueries.Add(1)
-		}
+		s.writeFailure(w, err)
+		return
 	}
-	s.queries.Add(1)
-
-	key := solutionKey{measure: m, k: k}
-	var memo solvedQuery
-	haveMemo, warm := false, false
-	if cache != nil {
-		cache.mu.Lock()
-		memo, haveMemo = st.solutions.get(key)
-		// Delta-aware memo reuse: when this state was patched from a
-		// previous one, the previous state's memo survives as st.stale. A
-		// stale answer is served only after warmStartValid replays its
-		// selection and proves no delta point could change it — so a
-		// warm-started response is bit-identical to the cold solve it
-		// skips.
-		var stale solvedQuery
-		var haveStale bool
-		if !haveMemo && st.stale != nil && m != divmax.RemoteClique && st.engine != nil {
-			stale, haveStale = st.stale.get(key)
-		}
-		cache.mu.Unlock()
-		if !haveMemo && haveStale && st.warmStartValid(stale.idx, k) {
-			memo, haveMemo, warm = stale, true, true
-			s.memoWarmStarts.Add(1)
-			cache.mu.Lock()
-			st.solutions.put(key, memo)
-			cache.mu.Unlock()
-		}
-	}
-	var elapsed time.Duration
-	if !haveMemo {
-		start := time.Now()
-		sol, idx := s.solveMerged(m, st, k)
-		// Under projection the solver picked projected points; map the
-		// selection back to the originals before evaluating, so both the
-		// reported solution and its value live in the true space.
-		sol = s.unproject(sol)
-		// Min-based measures evaluate to +Inf on fewer than 2 points
-		// (empty server, or k=1); JSON cannot encode non-finite numbers,
-		// so sanitizeValue reports the degenerate diversity as 0, inexact.
-		val, exact := sanitizeValue(divmax.Evaluate(m, sol, divmax.Euclidean))
-		elapsed = time.Since(start)
-		s.merges.Add(1)
-		s.mergeNanos.Store(int64(elapsed))
-		if sol == nil {
-			sol = []divmax.Vector{}
-		}
-		memo = solvedQuery{sol: sol, idx: idx, val: val, exact: exact}
-		if cache != nil {
-			cache.mu.Lock()
-			st.solutions.put(key, memo)
-			cache.mu.Unlock()
-		}
-	}
-
-	writeJSON(w, queryResponse{
-		Measure:       m.String(),
-		K:             k,
-		Solution:      memo.sol,
-		Value:         memo.val,
-		Exact:         memo.exact,
-		CoresetSize:   len(st.union),
-		Processed:     st.processed,
-		MergeMillis:   float64(elapsed) / float64(time.Millisecond),
-		Cached:        how == mergeHit,
-		Patched:       how == mergePatched,
-		WarmStarted:   warm,
-		Degraded:      degraded,
-		ShardsMissing: missing,
-	})
+	writeJSON(w, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	resp := statsResponse{
 		Shards:            make([]shardStats, len(s.shards)),
-		Queries:           s.queries.Load(),
-		Merges:            s.merges.Load(),
-		LastMergeMS:       float64(s.mergeNanos.Load()) / float64(time.Millisecond),
-		CacheHits:         s.cacheHits.Load(),
-		CacheMisses:       s.missesCold.Load() + s.missesInvalidated.Load(),
-		MissesCold:        s.missesCold.Load(),
-		MissesInvalidated: s.missesInvalidated.Load(),
-		DeltaPatches:      s.deltaPatches.Load(),
-		FullRebuilds:      s.fullRebuilds.Load(),
-		MemoWarmStarts:    s.memoWarmStarts.Load(),
 		DeletesRequested:  s.deletesRequested.Load(),
 		DeletesEvicting:   s.deletesEvicting.Load(),
 		DeletesSpares:     s.deletesSpares.Load(),
 		DeletesTombstoned: s.deletesTombstoned.Load(),
-		SolveWorkers:      s.cfg.SolveWorkers,
-		TiledSolves:       s.tiledSolves.Load(),
 		MaxK:              s.cfg.MaxK,
 		KPrime:            s.cfg.KPrime,
 		ProjectDim:        s.cfg.ProjectDim,
 		ProjectedPoints:   s.projectedPoints.Load(),
 	}
-	for i := range s.caches {
-		c := &s.caches[i]
-		c.mu.Lock()
-		if st := c.state; st != nil {
-			resp.CachedCoresetPoints += len(st.union)
-			if st.engine != nil {
-				resp.CachedMatrixBytes += st.engine.MatrixBytes()
-			}
-		}
-		c.mu.Unlock()
-	}
+	s.cache.FillStats(&resp)
 	s.mu.RLock()
 	resp.Draining = s.draining
 	s.mu.RUnlock()
-	resp.DegradedQueries = s.degradedQueries.Load()
 	resp.IngestSheds = s.ingestSheds.Load()
 	resp.QuerySheds = s.querySheds.Load()
 	resp.Recoveries = s.recoveries.Load()
@@ -1169,7 +972,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.RUnlock()
 	if draining {
-		httpError(w, http.StatusServiceUnavailable, "%v", errDraining)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", errDraining)
 		return
 	}
 	recovering := 0
@@ -1179,7 +982,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if recovering > 0 {
-		httpError(w, http.StatusServiceUnavailable, "server: not ready, recovering %d of %d shards", recovering, len(s.shards))
+		api.WriteError(w, http.StatusServiceUnavailable, "server: not ready, recovering %d of %d shards", recovering, len(s.shards))
 		return
 	}
 	failed := 0
@@ -1189,7 +992,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if failed*2 > len(s.shards) {
-		httpError(w, http.StatusServiceUnavailable, "server: not ready, %d of %d shards failed permanently", failed, len(s.shards))
+		api.WriteError(w, http.StatusServiceUnavailable, "server: not ready, %d of %d shards failed permanently", failed, len(s.shards))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -1200,46 +1003,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // what gets logged.
 var logf = log.Printf
 
-// writeJSON encodes v onto the response. An encode failure here almost
-// always means the client hung up mid-response; the response cannot be
-// salvaged (the status line is already out), so the error is logged
-// rather than silently dropped.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		logf("server: encoding response: %v", err)
-	}
-}
-
-// httpError writes the uniform error envelope of internal/api —
-// {"error":{"code","message"}} — with the machine-readable code mapped
-// 1:1 from the HTTP status. Every handler routes its failures through
-// here, so the error shape is identical across the whole surface.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	var env api.ErrorEnvelope
-	env.Error.Code = errorCode(status)
-	env.Error.Message = fmt.Sprintf(format, args...)
-	json.NewEncoder(w).Encode(env)
-}
-
-// errorCode maps an HTTP status to its envelope code.
-func errorCode(status int) string {
-	switch status {
-	case http.StatusMethodNotAllowed:
-		return api.CodeMethodNotAllowed
-	case http.StatusRequestEntityTooLarge:
-		return api.CodePayloadTooLarge
-	case http.StatusServiceUnavailable:
-		return api.CodeUnavailable
-	case http.StatusGatewayTimeout:
-		return api.CodeDeadlineExceeded
-	case http.StatusTooManyRequests:
-		return api.CodeOverloaded
-	default:
-		return api.CodeBadRequest
-	}
+	api.WriteJSON(w, v, func(err error) { logf("server: encoding response: %v", err) })
 }
 
 // writeFailure maps a fan-out error onto the wire: an expired deadline
@@ -1251,15 +1016,15 @@ func errorCode(status int) string {
 func (s *Server) writeFailure(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		httpError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+		api.WriteError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 	case errors.Is(err, errOverloaded):
 		retry := int(math.Ceil(s.cfg.ShedWait.Seconds()))
 		if retry < 1 {
 			retry = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		api.WriteError(w, http.StatusTooManyRequests, "%v", err)
 	default:
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	}
 }

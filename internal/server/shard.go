@@ -24,10 +24,8 @@ import (
 // previously merged core-set is still current, and uses the delta's
 // generation/position to patch a stale one instead of rebuilding it.
 //
-// err is non-nil when the shard could not serve the snapshot: it has
-// failed permanently (errShardFailed) or the requester's deadline
-// expired before the reply arrived (recorded by the requester itself;
-// degraded queries treat either as a missing shard).
+// err is non-nil when the shard has failed permanently and answers
+// every message with an error (degraded queries count it missing).
 type snapReply struct {
 	delta divmax.CoresetDelta[divmax.Vector]
 	epoch uint64

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 
 	"divmax"
@@ -89,22 +90,35 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndpointRejects: family and method validation use the
-// uniform error envelope.
+// TestSnapshotEndpointRejects: family, body and method validation use
+// the uniform error envelope. Only whitespace may follow the request
+// value, and whitespace that runs past the body limit is 413.
 func TestSnapshotEndpointRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 2})
-	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json",
-		bytes.NewReader([]byte(`{"family":"nope"}`)))
-	if err != nil {
-		t.Fatal(err)
+	valid := `{"family":"edge"}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"unknown family", `{"family":"nope"}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"trailing brace", valid + `}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"trailing bracket", valid + `]`, http.StatusBadRequest, api.CodeBadRequest},
+		{"whitespace past the limit", valid + strings.Repeat(" ", maxSnapshotBody), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || err != nil || env.Error.Code != tc.code {
+			t.Fatalf("%s: status %d envelope %+v (err %v), want %d %s", tc.name, resp.StatusCode, env, err, tc.status, tc.code)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown family: status %d, want 400", resp.StatusCode)
-	}
-	var env api.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != api.CodeBadRequest {
-		t.Fatalf("unknown family: envelope %+v (err %v)", env, err)
+	if q := postSnapshot(t, ts.URL, "edge", nil); q.Shards != 2 {
+		t.Fatalf("valid request after the rejected ones: %+v", q)
 	}
 	get, err := http.Get(ts.URL + "/v1/snapshot")
 	if err != nil {

@@ -6,99 +6,7 @@ import (
 	"testing"
 
 	"divmax"
-	"divmax/internal/sequential"
 )
-
-// Unit coverage for the delta-aware memo reuse: warmStartValid must
-// accept a stale farthest-first answer exactly when the cold solve over
-// the patched union would reproduce it, and reject everything else.
-
-// solveIdx runs the engine's farthest-first traversal over pts.
-func solveIdx(t *testing.T, pts []divmax.Vector, k int) []int {
-	t.Helper()
-	e := sequential.BuildEngine(pts, divmax.Euclidean, 1)
-	if e == nil {
-		t.Fatalf("no engine over %d points", len(pts))
-	}
-	return sequential.SolveEngineIdx(divmax.RemoteEdge, e, k)
-}
-
-// patchedState builds a mergeState as the patch path would: prefix
-// solved stale, delta appended after it.
-func patchedState(prefix, delta []divmax.Vector) *mergeState {
-	union := append(prefix[:len(prefix):len(prefix)], delta...)
-	return &mergeState{union: union, staleLen: len(prefix)}
-}
-
-func TestWarmStartValidAcceptsOnlyColdIdenticalAnswers(t *testing.T) {
-	prefix := []divmax.Vector{{0, 0}, {100, 0}, {50, 10}, {0, 90}, {70, 60}}
-	const k = 3
-	idx := solveIdx(t, prefix, k)
-
-	// A middling delta point: near the centroid, never the farthest —
-	// the replay must accept, and the cold solve over the patched union
-	// must agree with the stale answer (the property the verification
-	// certifies).
-	weak := patchedState(prefix, []divmax.Vector{{40, 20}})
-	if !weak.warmStartValid(idx, k) {
-		t.Fatal("warmStartValid rejected a delta that cannot change the selection")
-	}
-	if cold := solveIdx(t, weak.union, k); !reflect.DeepEqual(cold, idx) {
-		t.Fatalf("accepted answer %v differs from the cold solve %v", idx, cold)
-	}
-
-	// A dominating delta point: farther from everything than any stale
-	// pick — the cold solve picks it, so the replay must reject.
-	strong := patchedState(prefix, []divmax.Vector{{300, 300}})
-	if strong.warmStartValid(idx, k) {
-		t.Fatal("warmStartValid accepted a delta point the cold solve would pick")
-	}
-	if cold := solveIdx(t, strong.union, k); reflect.DeepEqual(cold, idx) {
-		t.Fatal("test is vacuous: the dominating point did not change the cold solve")
-	}
-
-	// Mid-strength: beats the weakest stale pick but not the first — the
-	// selection changes at a later step, which the replay must catch.
-	// v_2 here is the squared distance of the third pick; a delta point
-	// just beyond it flips only step 2.
-	mid := patchedState(prefix, []divmax.Vector{{0, 100}})
-	if valid := mid.warmStartValid(idx, k); valid != reflect.DeepEqual(solveIdx(t, mid.union, k), idx) {
-		t.Fatalf("warmStartValid = %v disagrees with the cold solve comparison", valid)
-	}
-
-	// An empty delta (staleLen == len(union)) is the same union: always
-	// valid.
-	same := &mergeState{union: prefix, staleLen: len(prefix)}
-	if !same.warmStartValid(idx, k) {
-		t.Fatal("warmStartValid rejected the identity patch")
-	}
-}
-
-func TestWarmStartValidRejectsMalformedAnswers(t *testing.T) {
-	prefix := []divmax.Vector{{0, 0}, {100, 0}, {0, 90}}
-	st := patchedState(prefix, []divmax.Vector{{10, 10}})
-	idx := solveIdx(t, prefix, 2)
-
-	cases := []struct {
-		name string
-		idx  []int
-		k    int
-	}{
-		{"nil indices (generic-path answer)", nil, 2},
-		{"length mismatch", idx, 3},
-		{"not starting at 0", []int{1, 0}, 2},
-		{"index beyond the stale prefix", []int{0, 3}, 2},
-		{"negative index", []int{0, -1}, 2},
-	}
-	for _, tc := range cases {
-		if st.warmStartValid(tc.idx, tc.k) {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	if bad := (&mergeState{union: prefix, staleLen: len(prefix) + 1}); bad.warmStartValid(idx, 2) {
-		t.Error("staleLen beyond the union: accepted")
-	}
-}
 
 // TestQueryReportsWarmStarted drives the HTTP surface until a stale
 // memo answer is served warm, checking it against a reference server
