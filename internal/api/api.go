@@ -277,7 +277,8 @@ type StatsResponse struct {
 	// the total. CachedCoresetPoints and CachedMatrixBytes size what
 	// the caches currently retain, summed over the two core-set
 	// families (tiled engines retain no matrix, so they contribute 0
-	// bytes).
+	// bytes); CachedMatrixBytes includes the buffer a rebuild keeps
+	// for the next one to reuse.
 	CacheHits           int64 `json:"query_cache_hits"`
 	CacheMisses         int64 `json:"query_cache_misses"`
 	MissesCold          int64 `json:"query_cache_misses_cold"`

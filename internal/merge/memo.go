@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"divmax"
-	"divmax/internal/metric"
+	"divmax/internal/sequential"
 )
 
 // memoKey keys a solved answer within one merged state; the state is
@@ -81,10 +81,10 @@ func (m *memo) put(key memoKey, val solved) {
 func (m *memo) len() int { return m.order.Len() }
 
 // warmStartValid reports whether a stale (non-clique) answer — selected
-// by the engine's farthest-first traversal over union[:staleLen] at the
-// indices idx — is exactly what a cold solve over the whole patched
-// union would select, by replaying the traversal's decisions against
-// the delta points union[staleLen:].
+// by the engine's farthest-first traversal over its first staleLen
+// points at the indices idx — is exactly what a cold solve over all of
+// e's points would select, by replaying the traversal's decisions
+// against the delta points [staleLen, e.Len()).
 //
 // The traversal starts at index 0 and at each step picks the point
 // maximizing the squared distance to the chosen set, scanning ascending
@@ -97,16 +97,17 @@ func (m *memo) len() int { return m.order.Len() }
 // to the lower prefix index). The replay therefore walks the stale picks
 // in order, keeping each delta point's min squared distance to the
 // chosen set, and rejects on the first step a delta point would have
-// won. metric.SquaredEuclidean evaluates the same canonical four-lane
-// sum as the engine's kernels, so the replay compares the values a cold
-// solve would.
+// won. It reads every distance through e.SqAt, the values the cold solve
+// compares: at and above metric.BlockedMinDim those are the blocked
+// tier's, which metric.SquaredEuclidean on the rows can miss by a few
+// ulps — enough to flip a near tie.
 //
 // It rejects conservatively, never falsely accepting: answers without
 // engine indices (generic-path solves), answers whose length is not k
 // (the stale union was smaller than k, and a bigger one picks more), and
 // any out-of-range index.
-func warmStartValid(union []divmax.Vector, staleLen int, idx []int, k int) bool {
-	n, l := len(union), staleLen
+func warmStartValid(e *sequential.Engine, staleLen int, idx []int, k int) bool {
+	n, l := e.Len(), staleLen
 	if l < 1 || l > n || len(idx) != k || k < 1 || idx[0] != 0 {
 		return false
 	}
@@ -118,28 +119,27 @@ func warmStartValid(union []divmax.Vector, staleLen int, idx []int, k int) bool 
 	if l == n {
 		return true // no delta points: same union, the answer carries as is
 	}
-	delta := union[l:]
-	// dmin[j] tracks delta[j]'s min squared distance to the chosen set.
-	dmin := make([]float64, len(delta))
-	p0 := union[idx[0]]
-	for j, q := range delta {
-		dmin[j] = metric.SquaredEuclidean(q, p0)
+	// dmin[j] tracks delta point l+j's min squared distance to the chosen
+	// set.
+	dmin := make([]float64, n-l)
+	for j := range dmin {
+		dmin[j] = e.SqAt(l+j, idx[0])
 	}
 	for t := 1; t < k; t++ {
-		p := union[idx[t]]
+		p := idx[t]
 		// v is the squared distance at which the stale traversal picked
 		// idx[t]: its min squared distance to the t points chosen so far.
 		v := math.Inf(1)
 		for _, u := range idx[:t] {
-			if d := metric.SquaredEuclidean(p, union[u]); d < v {
+			if d := e.SqAt(p, u); d < v {
 				v = d
 			}
 		}
-		for j, q := range delta {
+		for j := range dmin {
 			if dmin[j] > v {
 				return false // this delta point would have been picked instead
 			}
-			if d := metric.SquaredEuclidean(q, p); d < dmin[j] {
+			if d := e.SqAt(l+j, p); d < dmin[j] {
 				dmin[j] = d
 			}
 		}

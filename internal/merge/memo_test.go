@@ -1,10 +1,13 @@
 package merge
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"divmax"
+	"divmax/internal/metric"
 	"divmax/internal/sequential"
 )
 
@@ -71,14 +74,20 @@ func TestSolutionMemoLRU(t *testing.T) {
 // accept a stale farthest-first answer exactly when the cold solve over
 // the patched union would reproduce it, and reject everything else.
 
-// solveIdx runs the engine's farthest-first traversal over pts.
-func solveIdx(t *testing.T, pts []divmax.Vector, k int) []int {
+// engineOf builds the solve engine a merged state over pts holds.
+func engineOf(t *testing.T, pts []divmax.Vector) *sequential.Engine {
 	t.Helper()
 	e := sequential.BuildEngine(pts, divmax.Euclidean, 1)
 	if e == nil {
 		t.Fatalf("no engine over %d points", len(pts))
 	}
-	return sequential.SolveEngineIdx(divmax.RemoteEdge, e, k)
+	return e
+}
+
+// solveIdx runs the engine's farthest-first traversal over pts.
+func solveIdx(t *testing.T, pts []divmax.Vector, k int) []int {
+	t.Helper()
+	return sequential.SolveEngineIdx(divmax.RemoteEdge, engineOf(t, pts), k)
 }
 
 // patchedUnion lays a union out as the patch path does: prefix solved
@@ -97,7 +106,7 @@ func TestWarmStartValidAcceptsOnlyColdIdenticalAnswers(t *testing.T) {
 	// must agree with the stale answer (the property the verification
 	// certifies).
 	weak := patchedUnion(prefix, []divmax.Vector{{40, 20}})
-	if !warmStartValid(weak, len(prefix), idx, k) {
+	if !warmStartValid(engineOf(t, weak), len(prefix), idx, k) {
 		t.Fatal("warmStartValid rejected a delta that cannot change the selection")
 	}
 	if cold := solveIdx(t, weak, k); !reflect.DeepEqual(cold, idx) {
@@ -107,7 +116,7 @@ func TestWarmStartValidAcceptsOnlyColdIdenticalAnswers(t *testing.T) {
 	// A dominating delta point: farther from everything than any stale
 	// pick — the cold solve picks it, so the replay must reject.
 	strong := patchedUnion(prefix, []divmax.Vector{{300, 300}})
-	if warmStartValid(strong, len(prefix), idx, k) {
+	if warmStartValid(engineOf(t, strong), len(prefix), idx, k) {
 		t.Fatal("warmStartValid accepted a delta point the cold solve would pick")
 	}
 	if cold := solveIdx(t, strong, k); reflect.DeepEqual(cold, idx) {
@@ -119,14 +128,52 @@ func TestWarmStartValidAcceptsOnlyColdIdenticalAnswers(t *testing.T) {
 	// v_2 here is the squared distance of the third pick; a delta point
 	// just beyond it flips only step 2.
 	mid := patchedUnion(prefix, []divmax.Vector{{0, 100}})
-	if valid := warmStartValid(mid, len(prefix), idx, k); valid != reflect.DeepEqual(solveIdx(t, mid, k), idx) {
+	if valid := warmStartValid(engineOf(t, mid), len(prefix), idx, k); valid != reflect.DeepEqual(solveIdx(t, mid, k), idx) {
 		t.Fatalf("warmStartValid = %v disagrees with the cold solve comparison", valid)
 	}
 
 	// An empty delta (staleLen == len(union)) is the same union: always
 	// valid.
-	if !warmStartValid(prefix, len(prefix), idx, k) {
+	if !warmStartValid(engineOf(t, prefix), len(prefix), idx, k) {
 		t.Fatal("warmStartValid rejected the identity patch")
+	}
+
+	// At d ≥ metric.BlockedMinDim the engine solves on blocked-tier
+	// values, which can order a near tie unlike metric.SquaredEuclidean's
+	// four-lane form. Prefix {c, c+e₁} with c's coordinates in
+	// [1000, 1001), delta q = c + u with ‖u‖² just under 1: where the
+	// four-lane form puts q nearer to c than c+e₁ but the blocked tier
+	// does not, the cold solve picks q, and the replay must reject.
+	const dim = 16
+	rng := rand.New(rand.NewSource(16))
+	flips := 0
+	for trial := 0; trial < 500; trial++ {
+		c, c1, q := make(divmax.Vector, dim), make(divmax.Vector, dim), make(divmax.Vector, dim)
+		var norm float64
+		for i := range c {
+			c[i] = 1000 + rng.Float64()
+			q[i] = rng.NormFloat64()
+			norm += q[i] * q[i]
+		}
+		copy(c1, c)
+		c1[0]++
+		scale := math.Sqrt((1 - 4e-9*rng.Float64()) / norm)
+		for i := range q {
+			q[i] = c[i] + scale*q[i]
+		}
+		prefix := []divmax.Vector{c, c1}
+		union := patchedUnion(prefix, []divmax.Vector{q})
+		stale := solveIdx(t, prefix, 2)
+		cold := reflect.DeepEqual(solveIdx(t, union, 2), stale)
+		if valid := warmStartValid(engineOf(t, union), len(prefix), stale, 2); valid != cold {
+			t.Fatalf("d=%d trial %d: warmStartValid = %v, cold solve keeps the stale answer: %v", dim, trial, valid, cold)
+		}
+		if !cold && metric.SquaredEuclidean(q, c) < metric.SquaredEuclidean(c1, c) {
+			flips++
+		}
+	}
+	if flips == 0 {
+		t.Fatalf("d=%d: no near tie that the four-lane form orders unlike the engine; the case is vacuous", dim)
 	}
 }
 
@@ -147,11 +194,11 @@ func TestWarmStartValidRejectsMalformedAnswers(t *testing.T) {
 		{"negative index", []int{0, -1}, 2},
 	}
 	for _, tc := range cases {
-		if warmStartValid(union, len(prefix), tc.idx, tc.k) {
+		if warmStartValid(engineOf(t, union), len(prefix), tc.idx, tc.k) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if warmStartValid(prefix, len(prefix)+1, idx, 2) {
+	if warmStartValid(engineOf(t, prefix), len(prefix)+1, idx, 2) {
 		t.Error("staleLen beyond the union: accepted")
 	}
 }

@@ -19,7 +19,9 @@
 // deltas (in part order) to a copy of the union header and extends a
 // copy-safe fork of the engine, which costs O(delta·union) instead of
 // the O(union²) refill. Otherwise the parts whose reply was a delta are
-// fetched again in full and the engine is built afresh.
+// fetched again in full and the engine is rebuilt, copying the cells of
+// the points the new union shares with the old one
+// (sequential.RebuildEngine) and computing only the rest.
 //
 // A patched union is the cached union plus every point that joined any
 // part's core-set since — genuine stream points containing each part's
@@ -151,6 +153,12 @@ type family[C any] struct {
 	mu      sync.Mutex
 	rebuild chan struct{}
 	state   *state[C]
+	// retired is the engine the last rebuild replaced, whose matrix
+	// buffer the next rebuild may write into once no query can still be
+	// reading it. Patches since then only extend the rebuilt engine's
+	// chain, which never shares that buffer. Written under both rebuild
+	// and mu.
+	retired *sequential.Engine
 }
 
 // Cache is the merge cache of one tier.
@@ -163,6 +171,10 @@ type Cache[C any] struct {
 	hits, missesCold, missesInvalidated  atomic.Int64
 	patches, rebuilds, tiled, warmStarts atomic.Int64
 	degraded                             atomic.Int64
+	// inflight counts the Query calls under way. Only they hold states
+	// that are not installed, so a rebuild that runs alone may recycle a
+	// retired engine's buffer.
+	inflight atomic.Int64
 }
 
 // New returns an empty cache over src.
@@ -178,6 +190,8 @@ func New[C any](src Source[C], cfg Config) *Cache[C] {
 // or returns the first part's error. mapBack, when non-nil, maps a
 // solution to the points reported and evaluated in its place.
 func (c *Cache[C]) Query(ctx context.Context, m divmax.Measure, k int, mapBack func([]divmax.Vector) []divmax.Vector) (api.QueryResponse, error) {
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
 	fam, st, h, err := c.merged(ctx, Family(m))
 	if err != nil {
 		return api.QueryResponse{}, err
@@ -212,7 +226,7 @@ func (c *Cache[C]) Degraded(ctx context.Context, m divmax.Measure, k int, mapBac
 	if n-missing < c.cfg.Quorum {
 		return api.QueryResponse{}, missing, first
 	}
-	st.engine = c.build(st.union)
+	st.engine = c.build(nil, nil, st.union)
 	if missing > 0 {
 		c.degraded.Add(1)
 	}
@@ -222,6 +236,8 @@ func (c *Cache[C]) Degraded(ctx context.Context, m divmax.Measure, k int, mapBac
 }
 
 // Engine returns family f's installed solve engine, nil when it has none.
+// Its cells stay valid until the rebuild after the one that replaces
+// it, which may reuse its buffer.
 func (c *Cache[C]) Engine(f int) *sequential.Engine {
 	fam := &c.fams[f]
 	fam.mu.Lock()
@@ -256,6 +272,9 @@ func (c *Cache[C]) FillStats(st *api.StatsResponse) {
 			if s.engine != nil {
 				st.CachedMatrixBytes += s.engine.MatrixBytes()
 			}
+		}
+		if fam.retired != nil {
+			st.CachedMatrixBytes += fam.retired.MatrixBytes()
 		}
 		fam.mu.Unlock()
 	}
@@ -347,6 +366,7 @@ func (c *Cache[C]) merged(ctx context.Context, f int) (*family[C], *state[C], ho
 	}
 	var st *state[C]
 	h := rebuilt
+	retired := fam.retired
 	if cursors != nil {
 		st, h = c.patch(fam, prev, replies)
 	}
@@ -358,7 +378,19 @@ func (c *Cache[C]) merged(ctx context.Context, f int) (*family[C], *state[C], ho
 		for _, r := range replies {
 			st.union = append(st.union, r.Points...)
 		}
-		st.engine = c.build(st.union)
+		// Most of a rebuilt union is the previous one laid out again, so
+		// the engine remaps prev's cells; reference mode builds afresh.
+		// While this is the only query, no one holds the state the last
+		// rebuild replaced, and its matrix buffer takes the new cells.
+		var from, spare *sequential.Engine
+		if prev != nil && !c.cfg.Reference {
+			from = prev.engine
+			if c.inflight.Load() == 1 {
+				spare = retired
+			}
+		}
+		st.engine = c.build(from, spare, st.union)
+		retired = from
 		if prev == nil {
 			c.missesCold.Add(1)
 		} else {
@@ -367,7 +399,7 @@ func (c *Cache[C]) merged(ctx context.Context, f int) (*family[C], *state[C], ho
 		c.rebuilds.Add(1)
 	}
 	fam.mu.Lock()
-	fam.state = st
+	fam.state, fam.retired = st, retired
 	fam.mu.Unlock()
 	return fam, st, h, nil
 }
@@ -420,7 +452,7 @@ func (c *Cache[C]) patch(fam *family[C], prev *state[C], replies []Reply[C]) (*s
 	// of prev.union are untouched.
 	st.union = append(prev.union[:len(prev.union):len(prev.union)], delta...)
 	if c.cfg.Reference {
-		st.engine = c.build(st.union)
+		st.engine = c.build(nil, nil, st.union)
 		c.rebuilds.Add(1)
 		return st, rebuilt
 	}
@@ -437,14 +469,14 @@ func (c *Cache[C]) patch(fam *family[C], prev *state[C], replies []Reply[C]) (*s
 		st.stale, st.staleLen = prev.stale, prev.staleLen
 	}
 	if prev.engine == nil {
-		st.engine = c.build(st.union)
+		st.engine = c.build(nil, nil, st.union)
 	} else {
 		// The copy-safe fork: solves on prev.engine keep reading their
 		// immutable prefix while the fork gains the new rows and column
 		// stripe (or, tiled, the grown flat store).
 		st.engine = prev.engine.Fork()
 		if !sequential.AppendEngine(st.engine, delta) {
-			st.engine = c.build(st.union) // unreachable with validated vectors
+			st.engine = c.build(nil, nil, st.union) // unreachable with validated vectors
 		}
 	}
 	c.patches.Add(1)
@@ -461,8 +493,13 @@ func newState[C any](replies []Reply[C], m *memo) *state[C] {
 	return st
 }
 
-func (c *Cache[C]) build(union []divmax.Vector) *sequential.Engine {
-	return sequential.BuildEngine(union, divmax.Euclidean, c.cfg.SolveWorkers)
+// build returns union's solve engine, copying the cells of the points
+// it shares with prev, an engine over an earlier union, when prev is
+// non-nil, and writing them into spare's matrix buffer, when spare is
+// non-nil and large enough. Either way the engine is bit-identical to a
+// fresh build.
+func (c *Cache[C]) build(prev, spare *sequential.Engine, union []divmax.Vector) *sequential.Engine {
+	return sequential.RebuildEngineReusing(prev, spare, union, divmax.Euclidean, c.cfg.SolveWorkers)
 }
 
 // answer serves (m, k) on st: from its memo, from a verified stale
@@ -484,7 +521,7 @@ func (c *Cache[C]) answer(fam *family[C], st *state[C], m divmax.Measure, k int,
 			stale, haveStale = st.stale.get(key)
 		}
 		fam.mu.Unlock()
-		if haveStale && warmStartValid(st.union, st.staleLen, stale.idx, k) {
+		if haveStale && warmStartValid(st.engine, st.staleLen, stale.idx, k) {
 			a, have, warm = stale, true, true
 			c.warmStarts.Add(1)
 			fam.mu.Lock()

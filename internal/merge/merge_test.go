@@ -3,6 +3,7 @@ package merge
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"divmax"
 	"divmax/internal/api"
+	"divmax/internal/sequential"
 )
 
 // fakeCursor locates a fake part's view: its generation and how many of
@@ -346,5 +348,137 @@ func TestHitDoesNotWaitForRound(t *testing.T) {
 	}
 	if err := <-stale; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuildMatchesFreshEngine: a rebuild after a restructuring round
+// builds its engine from the previous one's cells, and what it installs
+// equals a fresh BuildEngine over the new union cell for cell — in both
+// kernel tiers, after a patch has grown the previous engine's stride.
+func TestRebuildMatchesFreshEngine(t *testing.T) {
+	for _, dim := range []int{2, 16} {
+		lift := func(pts []divmax.Vector) []divmax.Vector {
+			out := make([]divmax.Vector, len(pts))
+			for i, p := range pts {
+				out[i] = make(divmax.Vector, dim)
+				for j := range out[i] {
+					out[i][j] = p[j%2] + float64(j)/3
+				}
+			}
+			return out
+		}
+		src := newFakeSource(lift(grid(0, 40)), lift(grid(1000, 40)), lift(grid(2000, 40)))
+		c := New(src, testConfig())
+		query(t, c, divmax.RemoteEdge, 4)
+		src.add(1, lift(grid(1500, 3))...)
+		if resp := query(t, c, divmax.RemoteEdge, 4); !resp.Patched {
+			t.Fatalf("d=%d: a 3-point delta did not patch", dim)
+		}
+		// Part 0 restructures: it keeps half its points, in a new order,
+		// and gains fresh ones.
+		src.restructure(0)
+		src.mu.Lock()
+		kept := append([]divmax.Vector(nil), src.pts[0][20:]...)
+		src.pts[0] = append(append(kept, lift(grid(7000, 5))...), src.pts[0][:10]...)
+		src.mu.Unlock()
+		resp := query(t, c, divmax.RemoteEdge, 4)
+		if resp.Patched || resp.Cached {
+			t.Fatalf("d=%d: restructuring round patched=%v cached=%v, want a rebuild", dim, resp.Patched, resp.Cached)
+		}
+		got := c.Engine(0)
+		union := c.fams[0].state.union
+		want := sequential.BuildEngine(union, divmax.Euclidean, 1)
+		if got.Len() != want.Len() || got.Tiled() != want.Tiled() || got.MatrixBytes() != want.MatrixBytes() {
+			t.Fatalf("d=%d: engine (n=%d tiled=%v %d B), want (n=%d tiled=%v %d B)", dim,
+				got.Len(), got.Tiled(), got.MatrixBytes(), want.Len(), want.Tiled(), want.MatrixBytes())
+		}
+		for i := range got.Len() {
+			for j := range got.Len() {
+				if math.Float64bits(got.SqAt(i, j)) != math.Float64bits(want.SqAt(i, j)) {
+					t.Fatalf("d=%d: cell (%d,%d) = %v, want %v", dim, i, j, got.SqAt(i, j), want.SqAt(i, j))
+				}
+			}
+		}
+		if idx := sequential.SolveEngineIdx(divmax.RemoteEdge, want, 4); !reflect.DeepEqual(resp.Solution, pickIdx(union, idx)) {
+			t.Fatalf("d=%d: answer %v, fresh engine selects %v", dim, resp.Solution, pickIdx(union, idx))
+		}
+	}
+}
+
+func pickIdx(pts []divmax.Vector, idx []int) []divmax.Vector {
+	out := make([]divmax.Vector, len(idx))
+	for i, j := range idx {
+		out[i] = pts[j]
+	}
+	return out
+}
+
+// TestRebuildRecyclesRetiredBuffer: a rebuild that runs while no other
+// query is under way writes into the matrix buffer of the engine the
+// previous rebuild replaced, so back-to-back rebuilds alternate between
+// two buffers, and so does a rebuild after patches, which extend only
+// the rebuilt engine's chain; one that runs beside another query
+// allocates. Every engine equals a fresh build cell for cell. The test
+// holds every engine it names, so no buffer is freed and handed out
+// again at the same address.
+func TestRebuildRecyclesRetiredBuffer(t *testing.T) {
+	src := newFakeSource(grid(0, 30), grid(1000, 30))
+	c := New(src, testConfig())
+	buf := func(e *sequential.Engine) *float64 { return &e.Matrix().SqRow(0)[0] }
+	rebuild := func(label string) *sequential.Engine {
+		t.Helper()
+		src.restructure(0)
+		resp := query(t, c, divmax.RemoteEdge, 3)
+		if resp.Patched || resp.Cached {
+			t.Fatalf("%s: patched=%v cached=%v, want a rebuild", label, resp.Patched, resp.Cached)
+		}
+		got := c.Engine(0)
+		want := sequential.BuildEngine(c.fams[0].state.union, divmax.Euclidean, 1)
+		for i := range got.Len() {
+			for j := range got.Len() {
+				if math.Float64bits(got.SqAt(i, j)) != math.Float64bits(want.SqAt(i, j)) {
+					t.Fatalf("%s: cell (%d,%d) = %v, want %v", label, i, j, got.SqAt(i, j), want.SqAt(i, j))
+				}
+			}
+		}
+		return got
+	}
+	query(t, c, divmax.RemoteEdge, 3)
+	a := c.Engine(0)
+	b := rebuild("first rebuild")
+	if buf(b) == buf(a) {
+		t.Fatal("the first rebuild wrote into the installed engine's buffer")
+	}
+	if got := rebuild("second rebuild"); buf(got) != buf(a) {
+		t.Fatal("the second rebuild did not reuse the buffer the first one retired")
+	}
+	if got := rebuild("third rebuild"); buf(got) != buf(b) {
+		t.Fatal("the third rebuild did not reuse the buffer the second one retired")
+	}
+
+	// Another query under way may still be reading the retired engine.
+	c.inflight.Add(1)
+	d := rebuild("rebuild beside another query")
+	c.inflight.Add(-1)
+	if buf(d) == buf(a) || buf(d) == buf(b) {
+		t.Fatal("a rebuild beside another query reused a retired buffer")
+	}
+
+	// Patches extend d's chain; the buffer retired beside d (b's) is
+	// still free for the rebuild after them, back at the same union size.
+	src.add(1, divmax.Vector{1000.5, 3})
+	if resp := query(t, c, divmax.RemoteEdge, 3); !resp.Patched {
+		t.Fatal("a one-point delta did not patch")
+	}
+	p := c.Engine(0)
+	if buf(p) == buf(b) || buf(p) == buf(d) {
+		t.Fatal("the patch did not reallocate its engine's matrix")
+	}
+	src.mu.Lock()
+	src.pts[1] = src.pts[1][:30]
+	src.mu.Unlock()
+	src.restructure(1)
+	if got := rebuild("rebuild after a patch"); buf(got) != buf(b) {
+		t.Fatal("the rebuild after a patch did not reuse the buffer retired before it")
 	}
 }

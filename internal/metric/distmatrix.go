@@ -29,9 +29,10 @@ type DistMatrix struct {
 	sq []float64
 	n  int
 	// stride is the row stride of sq — the point capacity of the
-	// backing buffer. It equals n for matrices built by NewDistMatrix;
-	// Grown over-allocates (capacity doubling) so repeated appends
-	// reuse the buffer instead of recopying n² entries each time.
+	// backing buffer. It equals n for matrices built by NewDistMatrix
+	// and NewDistMatrixRemapped; Grown over-allocates by a quarter, the
+	// default delta budget of a patch, so the next patches reuse the
+	// buffer instead of recopying n² entries each time.
 	stride int
 }
 
@@ -96,13 +97,17 @@ func (m *DistMatrix) FillRows(p *Points, lo, hi, workers int) {
 //
 // Readers of m stay valid: when the backing buffer has spare capacity
 // the new cells occupy memory outside every existing reader's view and
-// the buffer is shared; otherwise a fresh buffer of at least double the
-// capacity (clamped to strideCap points when strideCap > 0) is
-// allocated and the old rows copied. Because forks of one buffer write
-// to the same spare cells, only the latest matrix of a Grown chain may
-// be grown again — the divmaxd cache serializes its patches exactly
-// this way. workers bounds the fill/copy goroutines (≤ 0 means
-// runtime.NumCPU()).
+// the buffer is shared; otherwise a fresh buffer is allocated and the
+// old rows copied. Its stride is a quarter above the old one, or p.Len()
+// when that is more, clamped to strideCap points when strideCap > 0:
+// a patch of the merge cache adds at most its delta budget, by default
+// a quarter of the union, so one patch fits while growth stays
+// geometric, and the new buffer holds about 1.56× the cells of m's
+// rows instead of the 4× a doubled stride costs. Because forks of one
+// buffer write to the same spare cells, only the latest matrix of a
+// Grown chain may be grown again — the divmaxd cache serializes its
+// patches exactly this way. workers bounds the fill/copy goroutines
+// (≤ 0 means runtime.NumCPU()).
 func (m *DistMatrix) Grown(p *Points, strideCap, workers int) *DistMatrix {
 	newN := p.Len()
 	if newN < m.n {
@@ -111,7 +116,7 @@ func (m *DistMatrix) Grown(p *Points, strideCap, workers int) *DistMatrix {
 	oldN := m.n
 	g := &DistMatrix{sq: m.sq, n: newN, stride: m.stride}
 	if newN > m.stride {
-		stride := 2 * m.stride
+		stride := m.stride + m.stride/4
 		if strideCap > 0 && stride > strideCap {
 			stride = strideCap
 		}
@@ -146,6 +151,89 @@ func (m *DistMatrix) Grown(p *Points, strideCap, workers int) *DistMatrix {
 		}
 	})
 	return g
+}
+
+// NewDistMatrixRemapped returns NewDistMatrix(p, workers), reusing the
+// cells of prev, a matrix over the store q: every cell whose two points
+// both have a row in q with the same coordinate bits is copied from
+// prev, and only the rows of the other points go to the kernels. Their
+// cells in the copied rows are then read through symmetry, as in
+// Grown. In both kernel tiers an entry is a position-independent
+// function of its two rows' values (blocked.go), and p and q share a
+// dimension and so a tier, so every cell is bit-identical to a fresh
+// fill; duplicate points are interchangeable for the same reason.
+// Columns whose q rows are consecutive copy as one run, which is most of
+// a merged union: its parts' core-sets keep their order across a
+// rebuild.
+//
+// spare, when non-nil, is a retired matrix that no reader will touch
+// again: when its buffer holds p.Len()² cells and is not prev's, the
+// result is written into it instead of a new buffer, so a caller that
+// rebuilds over and over keeps two buffers instead of feeding the
+// garbage collector one per rebuild. It panics when q is not prev's
+// store or the dimensions differ. workers bounds the fill and copy
+// goroutines (≤ 0 means runtime.NumCPU()).
+func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) *DistMatrix {
+	if q.n != prev.n || q.dim != p.dim {
+		panic(fmt.Sprintf("metric: remapping a %d-point matrix over a %d-row, %d-dimensional store into a %d-dimensional one",
+			prev.n, q.n, q.dim, p.dim))
+	}
+	n := p.n
+	old := p.MatchRows(q)
+	// runs are the maximal column ranges [j, j+l) whose q rows are
+	// oj, oj+1, ...; fresh lists the unmatched points.
+	type run struct{ j, oj, l int }
+	var runs []run
+	var fresh []int
+	for j, o := range old {
+		if o < 0 {
+			fresh = append(fresh, j)
+			continue
+		}
+		if k := len(runs) - 1; k >= 0 && runs[k].j+runs[k].l == j && runs[k].oj+runs[k].l == o {
+			runs[k].l++
+			continue
+		}
+		runs = append(runs, run{j: j, oj: o, l: 1})
+	}
+	var m *DistMatrix
+	if spare != nil && cap(spare.sq) >= n*n && &spare.sq[:1][0] != &prev.sq[:1][0] {
+		m = &DistMatrix{sq: spare.sq[:n*n], n: n, stride: n}
+	} else {
+		m = NewDistMatrixEmpty(n)
+	}
+	// Every cell is written below. Fresh rows first, on the kernels:
+	// consecutive ones as one range fill, which tiles the columns in the
+	// blocked tier.
+	parallelRowRange(0, len(fresh), workers, func(lo, hi int) {
+		for t := lo; t < hi; {
+			u := t + 1
+			for u < hi && fresh[u] == fresh[u-1]+1 {
+				u++
+			}
+			m.FillRows(p, fresh[t], fresh[u-1]+1, 1)
+			t = u
+		}
+	})
+	// Then every matched row: its matched columns from prev, its fresh
+	// columns from the fresh rows through symmetry.
+	parallelRowRange(0, n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o := old[i]
+			if o < 0 {
+				continue
+			}
+			row := m.sq[i*n : i*n+n]
+			src := prev.sq[o*prev.stride : o*prev.stride+prev.n]
+			for _, r := range runs {
+				copy(row[r.j:r.j+r.l], src[r.oj:r.oj+r.l])
+			}
+			for _, j := range fresh {
+				row[j] = m.sq[j*n+i]
+			}
+		}
+	})
+	return m
 }
 
 // parallelRowRange shards rows [lo, hi) across worker goroutines

@@ -1,6 +1,9 @@
 package metric
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Points is a flat, cache-friendly store of n points of a fixed
 // dimension: row i occupies data[i*dim : (i+1)*dim] of a single
@@ -109,6 +112,55 @@ func (p *Points) initNorms() {
 	for i := 0; i < p.n; i++ {
 		p.norms[i] = sqNorm(p.data[i*d : i*d+d])
 	}
+}
+
+// MatchRows returns, for each row of p, the index of a row of q that
+// holds the same coordinates bit for bit, or -1 when q has none (always
+// when the dimensions differ). Of duplicate rows in q it names the
+// first. Rows are found through a hash of their float64 bits, confirmed
+// by comparing the bits, so +0 and −0 do not match and NaN matches the
+// same NaN; a row whose hash collides with an earlier, different row of
+// q is not found, which costs a caller only the recomputation it would
+// do for an unmatched row.
+func (p *Points) MatchRows(q *Points) []int {
+	var first map[uint64]int
+	if p.dim == q.dim {
+		first = make(map[uint64]int, q.n)
+		for j := q.n - 1; j >= 0; j-- {
+			first[rowHash(q.Row(j))] = j
+		}
+	}
+	old := make([]int, p.n)
+	for i := range old {
+		row := p.Row(i)
+		if j, ok := first[rowHash(row)]; ok && sameBits(q.Row(j), row) {
+			old[i] = j
+		} else {
+			old[i] = -1
+		}
+	}
+	return old
+}
+
+// rowHash mixes a row's float64 bit patterns into 64 bits.
+func rowHash(row []float64) uint64 {
+	h := uint64(len(row))
+	for _, x := range row {
+		h ^= math.Float64bits(x)
+		h *= 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h ^ h>>32
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fill resets the store and bulk-loads vs, reusing the backing array

@@ -270,3 +270,29 @@ func TestIsEuclidean(t *testing.T) {
 		t.Fatal("counting wrapper falsely recognized (would skip instrumentation)")
 	}
 }
+
+// TestMatchRows: a row matches a row of the other store holding the
+// same coordinate bits — the first of duplicates — so +0 and −0 differ,
+// a NaN matches the same NaN, and nothing matches across dimensions.
+func TestMatchRows(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	q, _ := FlattenVectors([]Vector{{1, 2}, {3, 4}, {1, 2}, {0, 5}, {math.NaN(), 1}})
+	p, _ := FlattenVectors([]Vector{{3, 4}, {1, 2}, {negZero, 5}, {0, 5}, {9, 9}, {math.NaN(), 1}, {1, 2}})
+	got := p.MatchRows(&q)
+	want := []int{1, 0, -1, 3, -1, 4, 0}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("MatchRows = %v, want %v", got, want)
+		}
+	}
+	other, _ := FlattenVectors([]Vector{{1, 2, 0}})
+	for i, o := range other.MatchRows(&q) {
+		if o != -1 {
+			t.Fatalf("row %d of a 3-dimensional store matched row %d of a 2-dimensional one", i, o)
+		}
+	}
+	var empty Points
+	if got := p.MatchRows(&empty); len(got) != p.Len() || got[0] != -1 {
+		t.Fatalf("MatchRows against an empty store = %v", got)
+	}
+}

@@ -67,3 +67,49 @@ func BenchmarkSolveGeneralized(b *testing.B) {
 		})
 	}
 }
+
+// benchShapes are the merged-union shapes of the divmaxbench workloads:
+// ingest_d8's read-back, cluster_d8 and churn_d128.
+var benchShapes = []struct{ n, dim int }{{1076, 8}, {1311, 8}, {320, 128}}
+
+// BenchmarkRebuildEngine compares the merge cache's rebuild, which
+// remaps the previous engine's cells, with a fresh build, on a union
+// that has one point replaced, as after an evicting delete.
+func BenchmarkRebuildEngine(b *testing.B) {
+	for _, s := range benchShapes {
+		rng := rand.New(rand.NewSource(3))
+		prevPts := randomVectors(rng, s.n, s.dim)
+		pts := append([]metric.Vector(nil), prevPts...)
+		pts[s.n/2] = randomVectors(rng, 1, s.dim)[0]
+		prev := BuildEngine(prevPts, metric.Euclidean, 1)
+		name := fmt.Sprintf("n=%d/d=%d", s.n, s.dim)
+		b.Run(name+"/build", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BuildEngine(pts, metric.Euclidean, 1)
+			}
+		})
+		b.Run(name+"/remap", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RebuildEngine(prev, pts, metric.Euclidean, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkEngineFirstAppend is the first patch after a build: one
+// point appended to an engine whose matrix has no spare stride, so
+// DistMatrix.Grown reallocates it and copies the old rows.
+func BenchmarkEngineFirstAppend(b *testing.B) {
+	for _, s := range benchShapes {
+		rng := rand.New(rand.NewSource(4))
+		pts := randomVectors(rng, s.n+1, s.dim)
+		base := BuildEngine(pts[:s.n], metric.Euclidean, 1)
+		b.Run(fmt.Sprintf("n=%d/d=%d", s.n, s.dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !base.Fork().Append(pts[s.n:]) {
+					b.Fatal("Append failed")
+				}
+			}
+		})
+	}
+}

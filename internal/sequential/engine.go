@@ -92,7 +92,7 @@ var (
 // Engine is a prepared round-2 solve: the flat point store plus either
 // a materialized distance matrix or the tiling parameters to stream one.
 // It is immutable after construction — solver scratch is per call — so
-// one Engine may serve concurrent solves (the divmaxd query cache holds
+// one Engine may serve concurrent solves (the divmaxd merge cache holds
 // one per merged state). Fork + Append extend an engine incrementally
 // without touching the original's view (the cache's delta-patch path).
 type Engine struct {
@@ -120,12 +120,45 @@ func BuildEngine[P any](pts []P, d metric.Distance[P], workers int) *Engine {
 	if !ok {
 		return nil
 	}
-	return buildEngineVectors(vecs, workers)
+	return buildEngineVectors(vecs, nil, nil, workers)
+}
+
+// RebuildEngine is BuildEngine over pts, reusing the matrix of prev, an
+// engine over an earlier point set: every cell whose two points both
+// occur in prev's store, matched by their coordinate bits, is copied
+// from prev's matrix, and only the rows of the other points go to the
+// kernels (metric.NewDistMatrixRemapped). The result is bit-identical to
+// BuildEngine(pts, d, workers), mode included — past MatrixBudget it is
+// tiled — so every solve on it is too. It is the merge cache's rebuild:
+// a rebuilt union is mostly the previous one laid out again. It builds
+// from scratch when prev is nil, tiled, has no flat store or is of
+// another dimension. prev is only read, so solves on it may run
+// concurrently.
+func RebuildEngine[P any](prev *Engine, pts []P, d metric.Distance[P], workers int) *Engine {
+	return RebuildEngineReusing(prev, nil, pts, d, workers)
+}
+
+// RebuildEngineReusing is RebuildEngine that writes a remapped matrix
+// into the buffer of spare, an engine no solve will read again, when
+// that buffer is large enough and is not prev's. The engine is the same
+// either way; spare's is only a buffer the caller would otherwise leave
+// to the garbage collector.
+func RebuildEngineReusing[P any](prev, spare *Engine, pts []P, d metric.Distance[P], workers int) *Engine {
+	if len(pts) < 2 || !metric.IsEuclidean(d) {
+		return nil
+	}
+	vecs, ok := any(pts).([]metric.Vector)
+	if !ok {
+		return nil
+	}
+	return buildEngineVectors(vecs, prev, spare, workers)
 }
 
 // buildEngineVectors is BuildEngine after the distance and point-type
-// checks (the matroid solver reaches it from []Grouped[metric.Vector]).
-func buildEngineVectors(vecs []metric.Vector, workers int) *Engine {
+// checks (the matroid solver reaches it from []Grouped[metric.Vector]),
+// remapping prev's matrix, into spare's buffer when it may, when prev
+// is a matrix-mode engine over a flat store of the same dimension.
+func buildEngineVectors(vecs []metric.Vector, prev, spare *Engine, workers int) *Engine {
 	if len(vecs) < 2 {
 		return nil
 	}
@@ -134,7 +167,16 @@ func buildEngineVectors(vecs []metric.Vector, workers int) *Engine {
 		return nil // ragged rows: the generic path surfaces the panic
 	}
 	e := &Engine{n: flat.Len(), flat: flat, workers: resolveWorkers(workers)}
-	if int64(e.n)*int64(e.n)*8 <= MatrixBudget {
+	if int64(e.n)*int64(e.n)*8 > MatrixBudget {
+		return e
+	}
+	if prev != nil && prev.dm != nil && prev.flat.Len() == prev.n && prev.flat.Dim() == flat.Dim() {
+		var buf *metric.DistMatrix
+		if spare != nil {
+			buf = spare.dm
+		}
+		e.dm = metric.NewDistMatrixRemapped(&e.flat, &prev.flat, prev.dm, buf, workers)
+	} else {
 		e.dm = metric.NewDistMatrix(&e.flat, workers)
 	}
 	return e
@@ -146,7 +188,7 @@ func buildEngineVectors(vecs []metric.Vector, workers int) *Engine {
 // Append on it only ever writes memory outside that prefix or freshly
 // allocated buffers. Forks chain — fork the result to append again —
 // but because chained forks reuse one buffer's spare capacity, only the
-// latest engine of a chain may be extended (the divmaxd cache
+// latest engine of a chain may be extended (the divmaxd merge cache
 // serializes its patches exactly this way).
 func (e *Engine) Fork() *Engine {
 	c := *e
@@ -157,9 +199,10 @@ func (e *Engine) Fork() *Engine {
 // called on the concatenated point set: the flat store grows in place,
 // and in matrix mode the retained matrix gains the new rows (canonical
 // kernel fills) plus the old×new column stripe (copied through matrix
-// symmetry) via capacity-doubling DistMatrix.Grown — so every cell, and
-// therefore every solve, is bit-identical to a from-scratch build over
-// all the points. An append that pushes 8·n² past MatrixBudget drops
+// symmetry) via DistMatrix.Grown, which reuses spare stride and
+// otherwise reallocates a quarter wider — so every cell, and therefore
+// every solve, is bit-identical to a from-scratch build over all the
+// points. An append that pushes 8·n² past MatrixBudget drops
 // the matrix and crosses into tiled mode, exactly where BuildEngine
 // would have started tiled. It reports false — leaving the engine
 // unchanged — when the engine has no flat store to grow (built by
@@ -212,7 +255,7 @@ func AppendEngine[P any](e *Engine, pts []P) bool {
 // only when a one-shot engine solve is expected to beat the callback
 // path (see the gate's rationale in matrix.go). It is the entry point
 // of the solvers' internal dispatch and of mrdiv.SolveCoresets; callers
-// that amortize the build across several solves (the divmaxd query
+// that amortize the build across several solves (the divmaxd merge
 // cache) use BuildEngine directly.
 func AutoEngine[P any](pts []P, d metric.Distance[P], workers int) *Engine {
 	if !autoMatrixSolve {
@@ -237,6 +280,18 @@ func (e *Engine) Tiled() bool { return e.dm == nil }
 
 // Matrix returns the materialized distance matrix, nil in tiled mode.
 func (e *Engine) Matrix() *metric.DistMatrix { return e.dm }
+
+// SqAt returns the squared distance between points i and j as the
+// engine's solves see it: the matrix cell in matrix mode, the active
+// kernel tier's value (metric.Points.SqBetween) in tiled mode. At and
+// above metric.BlockedMinDim that is the blocked tier's value, which
+// may differ in the last bits from metric.SquaredEuclidean on the rows.
+func (e *Engine) SqAt(i, j int) float64 {
+	if e.dm != nil {
+		return e.dm.SqAt(i, j)
+	}
+	return e.flat.SqBetween(i, j)
+}
 
 // MatrixBytes returns the size of the retained matrix buffer
 // (monitoring); 0 in tiled mode, where solves use O(k·n) scratch.

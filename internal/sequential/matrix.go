@@ -40,8 +40,9 @@ import (
 // A one-shot solve does the same Θ(n²) pair work either way, so the
 // engine only beats the callback path when its fills and scans run
 // wider than one core; on a single core the fill is pure added latency.
-// Explicit-matrix callers are unaffected: when the fill is amortized
-// across queries (the divmaxd snapshot cache) or handed down prebuilt
+// Callers that skip the gate are unaffected: when the fill is amortized
+// across queries (the divmaxd merge cache, internal/merge, calls
+// BuildEngine and RebuildEngine directly) or handed down prebuilt
 // (SolveMatrix), the engine path wins regardless of core count. A
 // variable so tests can force both paths on any machine.
 var autoMatrixSolve = runtime.NumCPU() > 1
@@ -73,8 +74,7 @@ func AutoMatrix[P any](pts []P, d metric.Distance[P], workers int) *metric.DistM
 // fits MatrixBudget — filling rows in parallel across workers
 // goroutines (≤ 0 means NumCPU). It returns nil when the fast path does
 // not apply, in which case callers run the generic solvers or, past the
-// budget, the tiled engine (BuildEngine). The divmaxd query cache
-// retains the matrix across queries of an unchanged stream.
+// budget, the tiled engine (BuildEngine).
 func BuildMatrix[P any](pts []P, d metric.Distance[P], workers int) *metric.DistMatrix {
 	return buildMatrixCapped(pts, d, workers, maxBudgetPoints())
 }

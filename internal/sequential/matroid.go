@@ -66,7 +66,7 @@ func MaxDispersionPartitionMatroid[P any](pts []Grouped[P], limits []int, k int,
 			vecs[i] = gp.Point
 			group[i] = gp.Group
 		}
-		if e := buildEngineVectors(vecs, 0); e != nil {
+		if e := buildEngineVectors(vecs, nil, nil, 0); e != nil {
 			sol := maxDispersionMatroidEngine(e, group, limits, k)
 			result := make([]P, len(sol))
 			for i, j := range sol {
