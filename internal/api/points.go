@@ -18,11 +18,14 @@ import (
 // Batch bodies — {"points": [[x, y, ...], ...]}, the shape of every
 // /v1/ingest and /v1/delete request — are read by ReadBatch in both
 // tiers. It tries DecodePoints, a fast path that accepts only the
-// canonical shape and parses each coordinate with strconv.ParseFloat,
-// the same call encoding/json ends in; anything else it declines, and
-// encoding/json parses the same bytes exactly as it always has. So the
-// fast path can only return what encoding/json would have returned,
-// and every rejected body keeps its error message.
+// canonical shape and gives each coordinate the float64
+// strconv.ParseFloat gives it, the call encoding/json ends in: short
+// decimals, such as the 1e-4-grid coordinates of divmaxbench, through
+// strconv's own exact path computed in place, every other number
+// through ParseFloat itself (parseNumber). Anything else it declines,
+// and encoding/json parses the same bytes exactly as it always has. So
+// the fast path can only return what encoding/json would have
+// returned, and every rejected body keeps its error message.
 
 // ErrTrailingData rejects a batch body that holds more than whitespace
 // after its JSON value.
@@ -120,13 +123,14 @@ func putBody(b *bytes.Buffer) bool {
 // exactly {"points":[[x,...],...]} — JSON whitespace allowed between
 // tokens, every coordinate a JSON number that strconv.ParseFloat takes
 // without error — appending each point to dst as a Vector of its own,
-// and returns the extended slice with ok. Anything else it declines
-// (ok false, dst returned as given, nothing past its length left
-// set): null in place of an array, a key other than exactly "points"
-// (differently cased, escaped, unknown, repeated, or want_outcomes), a
-// number outside JSON's grammar (+1, 01, .5, 1., inf, 0x1p3, 1_0) or
-// out of range (1e400), and anything but whitespace after the closing
-// brace.
+// and returns the extended slice with ok. Each coordinate is scanned
+// once and is bit-identical to ParseFloat's result (see parseNumber).
+// Anything else it declines (ok false, dst returned as given, nothing
+// past its length left set): null in place of an array, a key other
+// than exactly "points" (differently cased, escaped, unknown, repeated,
+// or want_outcomes), a number outside JSON's grammar (+1, 01, .5, 1.,
+// inf, 0x1p3, 1_0) or out of range (1e400), and anything but whitespace
+// after the closing brace.
 func DecodePoints(body []byte, dst []divmax.Vector) ([]divmax.Vector, bool) {
 	out, ok := decodePoints(body, dst)
 	if !ok {
@@ -176,12 +180,8 @@ func decodePoints(b []byte, out []divmax.Vector) ([]divmax.Vector, bool) {
 				}
 				i = skipSpace(b, i+1)
 			}
-			end := numberEnd(b, i)
-			if end < 0 {
-				return out, false
-			}
-			x, err := strconv.ParseFloat(string(b[i:end]), 64)
-			if err != nil {
+			x, end, ok := parseNumber(b, i)
+			if !ok {
 				return out, false
 			}
 			coords = append(coords, x)
@@ -211,46 +211,86 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// numberEnd returns the end of the JSON number starting at b[i] —
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 when none
-// starts there.
-func numberEnd(b []byte, i int) int {
-	digits := func(i int) int {
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	if at(b, i, '-') {
+// parseNumber parses the JSON number starting at b[i] —
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — and returns its value
+// and end, with ok false when no number starts there or
+// strconv.ParseFloat rejects it (1e400). It scans the number once,
+// accumulating its decimal mantissa m, integer and fraction digits
+// alike. Where strconv's own exact path applies, it returns that path's
+// one correctly rounded operation, float64(m), negated for a leading
+// '-', divided by 10^k: both operands are exact, so the quotient is the
+// nearest float64 to the number, as ParseFloat returns. That takes at
+// most 19 digits (a lone integer 0 aside, leading zeros of the fraction
+// included), so m cannot wrap and is the mantissa strconv reads; m
+// below 2^52; no exponent part; and k ≤ 22 decimals. Every other number
+// goes to strconv.ParseFloat.
+func parseNumber(b []byte, i int) (x float64, end int, ok bool) {
+	start := i
+	neg := at(b, i, '-')
+	if neg {
 		i++
 	}
+	var m uint64
+	nd := 0 // digits in m, but for a lone integer 0
 	switch {
 	case at(b, i, '0'):
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(i + 1)
+		j := i
+		i, m = digits(b, i, m)
+		nd = i - j
 	default:
-		return -1
+		return 0, 0, false
 	}
+	k := 0
 	if at(b, i, '.') {
-		j := digits(i + 1)
-		if j == i+1 {
-			return -1
+		j := i + 1
+		i, m = digits(b, j, m)
+		if k = i - j; k == 0 {
+			return 0, 0, false
 		}
-		i = j
 	}
-	if at(b, i, 'e') || at(b, i, 'E') {
+	if !at(b, i, 'e') && !at(b, i, 'E') {
+		if nd+k <= 19 && m < 1<<52 && k <= 22 {
+			x = float64(m)
+			if neg {
+				x = -x
+			}
+			return x / pow10[k], i, true
+		}
+	} else {
 		i++
 		if at(b, i, '+') || at(b, i, '-') {
 			i++
 		}
-		j := digits(i)
-		if j == i {
-			return -1
+		j := i
+		i, _ = digits(b, i, 0)
+		if i == j {
+			return 0, 0, false
 		}
-		i = j
 	}
-	return i
+	x, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return x, i, err == nil
+}
+
+// digits accumulates the decimal digits from b[i] on into m and returns
+// the index past them with the new m, which wraps past 19 digits.
+func digits(b []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		m = m*10 + uint64(d)
+	}
+	return i, m
+}
+
+// pow10 holds the powers of ten that float64 represents exactly, the
+// divisors of strconv's exact path.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // AppendPoints appends the body json.Marshal writes for

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -93,6 +94,46 @@ var pointsCorpus = []string{
 	`{"points":[[1,2]]} x`,
 	`{"points":[[1,2]]`,
 	`{"points":[[1,2]`,
+}
+
+// exactPathEdges are numbers at the edges of strconv's exact path:
+// mantissas around 2^52 and 2^53, 19 and 20 significant digits, 22 and
+// 23 decimals, leading and trailing zeros, signed zeros, e-notation, and
+// 1e400, which ParseFloat rejects. FuzzPointsDecode takes each as a
+// one-coordinate body too.
+var exactPathEdges = []string{
+	"4503599627370495", "4503599627370496", "9007199254740993", "-4503599627370495",
+	"0.4503599627370495", "450359962737049.5", "4503599627370.495", "0.0000004503599627370495",
+	"1234567890123456789", "0.1234567890123456789", "123456789.0123456789", "-1234567890123456789",
+	"12345678901234567890", "0.12345678901234567890", "1.0000000000000000000", "99999999999999999999",
+	"0.0000000000000000000001", "0.0000000000000123456789", "0.1234567890123456789012",
+	"0.00000000000000000000001", "0.00000000000001234567891", "1.00000000000000000000001",
+	"0.0005", "-0.0005", "0.000000000000000000005", "0.00000000000000000000000000000001",
+	"4503599627370496.0", "4503599627370495.0", "1.50", "100.000", "123.4560000000000000000",
+	"-0", "-0.0", "0", "0.0", "-0.000", "0.1", "0.3", "123.4567", "99.9999", "-12.5",
+	"1e5", "1E5", "1.5e-3", "4503599627370495e0", "0e0", "-0e-0", "1e22", "1e23", "1e-22",
+	"1e400", "-1e400", "1e-400",
+}
+
+// TestParseNumberExactPath holds parseNumber to strconv.ParseFloat, bit
+// for bit, at the edges of the exact path, alone and inside a body.
+func TestParseNumberExactPath(t *testing.T) {
+	for _, num := range exactPathEdges {
+		want, werr := strconv.ParseFloat(num, 64)
+		x, end, ok := parseNumber([]byte(num+","), 0)
+		if ok != (werr == nil) || end != len(num) {
+			t.Errorf("%s: ok %v, end %d; ParseFloat error %v, length %d", num, ok, end, werr, len(num))
+			continue
+		}
+		if ok && math.Float64bits(x) != math.Float64bits(want) {
+			t.Errorf("%s: parsed %v (%#x), ParseFloat %v (%#x)", num, x, math.Float64bits(x), want, math.Float64bits(want))
+		}
+		body := `{"points":[[` + num + `]]}`
+		got, ok := DecodePoints([]byte(body), nil)
+		if ok != (werr == nil) || (ok && !sameBits(got, []divmax.Vector{{want}})) {
+			t.Errorf("%s: DecodePoints gave %v (ok %v)", body, got, ok)
+		}
+	}
 }
 
 // TestDecodePoints pins what the fast path declines — leaving dst as
@@ -314,6 +355,9 @@ func TestAppendPointsMatchesMarshal(t *testing.T) {
 func FuzzPointsDecode(f *testing.F) {
 	for _, body := range pointsCorpus {
 		f.Add([]byte(body))
+	}
+	for _, num := range exactPathEdges {
+		f.Add([]byte(`{"points":[[` + num + `]]}`))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want IngestRequest

@@ -161,10 +161,21 @@ func TestSqDistPanicsOnMismatch(t *testing.T) {
 }
 
 // TestMinSqMatchesMinDistance: the flat nearest-row scan returns the
-// same index as the generic scan and the square of its distance.
+// same index as the generic scan and the square of its distance, and
+// AnyWithin(q, r) answers !(dist > r) for that distance, at radii on
+// both sides of it and at 0, +Inf and NaN — also with rows whose square
+// overflows to +Inf or is NaN, and on an empty store.
 func TestMinSqMatchesMinDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, dim := range []int{1, 2, 3, 8, 13} {
+	within := func(t *testing.T, flat *Points, q Vector, dist float64) {
+		t.Helper()
+		for _, r := range []float64{dist, math.Nextafter(dist, 0), math.Nextafter(dist, math.Inf(1)), 4 * dist, 0, math.Inf(1), math.NaN()} {
+			if got, want := flat.AnyWithin(q, r), !(dist > r); got != want {
+				t.Fatalf("dim %d: AnyWithin(r=%v) = %v, nearest row at %v", len(q), r, got, dist)
+			}
+		}
+	}
+	for _, dim := range []int{1, 2, 3, 8, 13, 16, 128} {
 		rows := randRows(rng, 40, dim)
 		// Duplicate a few rows so ties are exercised.
 		rows = append(rows, rows[3].Clone(), rows[7].Clone(), rows[3].Clone())
@@ -182,11 +193,20 @@ func TestMinSqMatchesMinDistance(t *testing.T) {
 			if math.Float64bits(math.Sqrt(gotSq)) != math.Float64bits(wantDist) {
 				t.Fatalf("dim %d: sqrt(MinSq) %v != MinDistance %v", dim, math.Sqrt(gotSq), wantDist)
 			}
+			within(t, &flat, q, wantDist)
 		}
 	}
 	var empty Points
 	if sq, idx := empty.MinSq([]float64{1}); !math.IsInf(sq, 1) || idx != -1 {
 		t.Fatalf("empty MinSq = (%v, %d), want (+Inf, -1)", sq, idx)
+	}
+	within(t, &empty, Vector{1}, math.Inf(1))
+	var far Points
+	far.Append([]float64{1e200, math.NaN()})
+	far.Append([]float64{-1e200, 0})
+	for _, q := range []Vector{{1e200, 0}, {-1e200, 0}, {0, 0}} {
+		dist, _ := MinDistance(q, []Vector{far.Vector(0), far.Vector(1)}, Euclidean)
+		within(t, &far, q, dist)
 	}
 }
 

@@ -334,6 +334,27 @@ func (p *Points) MinSq(q []float64) (float64, int) {
 	return best, bestIdx
 }
 
+// AnyWithin reports !(math.Sqrt(MinSq(q)) > r) — whether the closest
+// stored row lies within distance r of q — but stops at the first row
+// whose distance is at most r. Each row's distance is math.Sqrt of the
+// same four-lane square MinSq takes, and sqrt is monotone, so the answer
+// is the one MinSq gives at every dimension. With no row within r the
+// minimum is above r, or +Inf (no rows, or only NaN squares), which
+// r = +Inf or NaN still does not exceed. It panics as MinSq does.
+func (p *Points) AnyWithin(q []float64, r float64) bool {
+	if p.n > 0 && len(q) != p.dim {
+		panic(fmt.Sprintf("metric: euclidean distance of vectors with mismatched dimensions %d and %d", len(q), p.dim))
+	}
+	d := p.dim
+	data := p.data
+	for i := 0; i < p.n; i++ {
+		if math.Sqrt(sqDist(q, data[i*d:i*d+d])) <= r {
+			return true
+		}
+	}
+	return !(math.Inf(1) > r)
+}
+
 // euclideanPC is the entry point of Euclidean, the identity the fast
 // paths recognize.
 var euclideanPC = reflect.ValueOf(Euclidean).Pointer()

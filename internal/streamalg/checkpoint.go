@@ -74,7 +74,8 @@ func (s *SMM[P]) Checkpoint() ([]byte, error) {
 
 // Restore replaces the processor's state with a checkpoint taken from a
 // processor with identical construction parameters, rebuilding the
-// Euclidean fast-path mirror. On error the processor is unchanged.
+// Euclidean fast-path mirror and the count of open centers, which the
+// checkpoint does not carry. On error the processor is unchanged.
 func (s *SMM[P]) Restore(data []byte) error {
 	var st smmState[P]
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -107,6 +108,7 @@ func (s *SMM[P]) Restore(data []byte) error {
 	s.gen = st.Gen
 	s.appended = st.Appended
 	s.logCap = st.LogCap
+	s.countOpen()
 	if s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}
@@ -187,6 +189,7 @@ func (s *SMMExt[P]) Restore(data []byte) error {
 	s.gen = st.Gen
 	s.appended = st.Appended
 	s.logCap = st.LogCap
+	s.countOpen()
 	if s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}

@@ -111,6 +111,7 @@ func (s *SMM[P]) Delete(p P) DeleteOutcome {
 		evicted = true
 		break
 	}
+	s.countOpen()
 	if evicted {
 		s.bumpGen()
 		return DeleteEvicted
@@ -151,6 +152,7 @@ func (s *SMMExt[P]) Delete(p P) DeleteOutcome {
 	if restructured && s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}
+	s.countOpen()
 	if evicted {
 		s.bumpGen()
 		return DeleteEvicted

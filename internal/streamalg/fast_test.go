@@ -101,6 +101,9 @@ func TestSMMFastMatchesGeneric(t *testing.T) {
 		}
 		sameVectors(t, "SMM result", fast.Result(), slow.Result())
 	}
+	for _, dim := range []int{2, 8, 16} {
+		driveDivmaxdShape(t, newSMMTwin(16, 64, 2), dim)
+	}
 }
 
 // TestSMMExtFastMatchesGeneric does the same for the delegate-carrying
@@ -133,6 +136,9 @@ func TestSMMExtFastMatchesGeneric(t *testing.T) {
 				seed, fast.StoredPoints(), slow.StoredPoints())
 		}
 	}
+	for _, dim := range []int{2, 8, 16} {
+		driveDivmaxdShape(t, newExtTwin(16, 64), dim)
+	}
 }
 
 // TestSMMGenFastMatchesGeneric checks the count-based variant: centers
@@ -164,6 +170,9 @@ func TestSMMGenFastMatchesGeneric(t *testing.T) {
 			}
 			sameVectors(t, "SMMGen center", []metric.Vector{fg[i].Point}, []metric.Vector{sg[i].Point})
 		}
+	}
+	for _, dim := range []int{2, 8, 16} {
+		driveDivmaxdShape(t, newGenTwin(16, 64), dim)
 	}
 }
 

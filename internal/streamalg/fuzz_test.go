@@ -66,15 +66,29 @@ func FuzzSMMInvariants(f *testing.F) {
 }
 
 // FuzzSMMExtDelegateCaps checks SMM-EXT's cap and coverage invariants on
-// arbitrary streams.
+// arbitrary streams, with a generic twin (as in FuzzSMMInvariants) that
+// must hold the same checkpoint after every step. A pair starting with
+// 255 deletes a retained point, picked by the pair's second byte, from
+// both.
 func FuzzSMMExtDelegateCaps(f *testing.F) {
 	f.Add([]byte{0, 0, 200, 200, 0, 200, 100, 100}, uint8(2), uint8(3))
+	f.Add([]byte{0, 0, 200, 200, 0, 200, 100, 100, 1, 1, 255, 0, 201, 200, 255, 3, 0, 201}, uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, kpRaw uint8) {
 		k := 1 + int(kRaw)%4
 		kprime := k + int(kpRaw)%4
-		s := NewSMMExt(k, kprime, metric.Euclidean)
+		w := newExtTwin(k, kprime)
+		s := w.fast
+		deleted := false
 		for i := 0; i+1 < len(data); i += 2 {
-			s.Process(metric.Vector{float64(data[i]), float64(data[i+1])})
+			if data[i] == 255 {
+				if kept := w.retained(); len(kept) > 0 {
+					w.remove(t, kept[int(data[i+1])%len(kept)])
+					deleted = true
+				}
+			} else {
+				w.ingest([]metric.Vector{{float64(data[i]), float64(data[i+1])}})
+			}
+			w.check(t)
 			for _, set := range s.delegates {
 				if len(set) > k {
 					t.Fatalf("delegate set size %d exceeds k=%d", len(set), k)
@@ -82,8 +96,8 @@ func FuzzSMMExtDelegateCaps(f *testing.F) {
 			}
 		}
 		centers := s.Centers()
-		if len(centers) == 0 {
-			return
+		if len(centers) == 0 || deleted {
+			return // a promoted delegate covers its cluster within 8·d_i only
 		}
 		for _, q := range s.Result() {
 			if dist, _ := metric.MinDistance(q, centers, metric.Euclidean); dist > s.CoverageRadius()+1e-9 {

@@ -9,11 +9,17 @@ import (
 // centerScanner is the nearest-center engine behind the SMM family's
 // Euclidean fast path. The processors keep it as a mirror of their
 // center set — Append on every accepted center, Rebuild after a merge
-// rewrites the set — and route every MinDistance scan through it.
-// MinDist must return exactly what metric.MinDistance(p, centers,
-// Euclidean) returns: the scan runs on squared distances over a flat
-// row-major buffer and takes a single square root at the end, which
-// commutes with the minimum because correctly-rounded sqrt is monotone.
+// or a delete rewrites the set — and route every MinDistance scan
+// through it. MinDist must return exactly what metric.MinDistance(p,
+// centers, Euclidean) returns: the scan runs on squared distances over
+// a flat row-major buffer and takes a single square root at the end,
+// which commutes with the minimum because correctly-rounded sqrt is
+// monotone.
+//
+// Covers is the covering exit: once no center can keep another spare,
+// delegate or count, a processor needs only whether its nearest center
+// lies within the coverage radius, and Covers answers that at the first
+// center within it instead of scanning them all.
 type centerScanner[P any] interface {
 	// Append mirrors appending p to the center set.
 	Append(p P)
@@ -22,6 +28,8 @@ type centerScanner[P any] interface {
 	// MinDist returns the distance to and index of the nearest mirrored
 	// center, (+Inf, -1) when none; ties break toward the lowest index.
 	MinDist(p P) (float64, int)
+	// Covers reports !(dist > r) for the dist MinDist(p) returns.
+	Covers(p P, r float64) bool
 }
 
 // newCenterScanner returns the fast scanner when d is metric.Euclidean
@@ -60,3 +68,5 @@ func (v *vecScanner) MinDist(p metric.Vector) (float64, int) {
 	}
 	return math.Sqrt(sq), idx
 }
+
+func (v *vecScanner) Covers(p metric.Vector, r float64) bool { return v.flat.AnyWithin(p, r) }

@@ -50,6 +50,13 @@ type SMM[P any] struct {
 	// 2(k′+1)-point memory bound.
 	spareCap int
 	spares   [][]P
+	// open counts the centers whose spare list is below spareCap — 0
+	// whenever retention is off. While it is 0 an absorbed point changes
+	// nothing but processed, which lets the fast path stop its scan at
+	// the first covering center (Process). It is derived state: kept in
+	// step by addCenter and the absorb step, recounted after every merge,
+	// Delete, Restore and SetSpareCap, and never checkpointed.
+	open int
 
 	// Incremental-snapshot bookkeeping (Generation/AppendedSince): gen
 	// counts restructurings — merge phases, where centers move or drop —
@@ -86,11 +93,22 @@ func NewSMM[P any](k, kprime int, d metric.Distance[P]) *SMM[P] {
 func (s *SMM[P]) SetSpareCap(cap int) {
 	if cap <= 0 {
 		s.spareCap, s.spares = 0, nil
-		return
+	} else {
+		s.spareCap = cap
+		if s.spares == nil {
+			s.spares = make([][]P, len(s.centers))
+		}
 	}
-	s.spareCap = cap
-	if s.spares == nil {
-		s.spares = make([][]P, len(s.centers))
+	s.countOpen()
+}
+
+// countOpen recounts the centers whose spare list is below the cap.
+func (s *SMM[P]) countOpen() {
+	s.open = 0
+	for _, sp := range s.spares {
+		if len(sp) < s.spareCap {
+			s.open++
+		}
 	}
 }
 
@@ -141,6 +159,7 @@ func (s *SMM[P]) addCenter(p P) {
 	s.centers = append(s.centers, p)
 	if s.spareCap > 0 {
 		s.spares = append(s.spares, nil)
+		s.open++
 	}
 	s.appended = append(s.appended, p)
 	if len(s.appended) >= s.logCap {
@@ -167,13 +186,17 @@ func (s *SMM[P]) Process(p P) {
 		}
 		return
 	}
+	if s.open == 0 && s.scan != nil {
+		// The covering exit: no center can keep p as a spare, so only
+		// whether some center covers p matters, not which one is nearest.
+		if !s.scan.Covers(p, 4*s.threshold) {
+			s.accept(p)
+		}
+		return
+	}
 	dist, nearest := s.minDist(p)
 	if dist > 4*s.threshold {
-		s.addCenter(p)
-		if len(s.centers) == s.kprime+1 {
-			s.threshold *= 2
-			s.startPhase()
-		}
+		s.accept(p)
 		return
 	}
 	// Absorbed: retain as a spare for the covering center when spare
@@ -182,13 +205,28 @@ func (s *SMM[P]) Process(p P) {
 	// deleted value.
 	if s.spareCap > 0 && dist > 0 && len(s.spares[nearest]) < s.spareCap {
 		s.spares[nearest] = append(s.spares[nearest], p)
+		if len(s.spares[nearest]) == s.spareCap {
+			s.open--
+		}
+	}
+}
+
+// accept adds p, which no center covers, to T, and starts a new phase
+// when T reaches k′+1 points.
+func (s *SMM[P]) accept(p P) {
+	s.addCenter(p)
+	if len(s.centers) == s.kprime+1 {
+		s.threshold *= 2
+		s.startPhase()
 	}
 }
 
 // ProcessBatch consumes a slice of stream points, equivalent to calling
 // Process on each in order. Batch ingestion keeps the center set hot in
 // cache across the whole slice and is the natural feed for callers that
-// already receive points in chunks (the divmaxd shards).
+// already receive points in chunks (the divmaxd shards). On the
+// Euclidean fast path most points of a long stream take the covering
+// exit (Process): the scan stops at the first center within 4·d_i.
 func (s *SMM[P]) ProcessBatch(batch []P) {
 	for _, p := range batch {
 		s.Process(p)
@@ -244,6 +282,7 @@ func (s *SMM[P]) merge() {
 	if s.spareCap > 0 {
 		s.spares = keptSpares
 	}
+	s.countOpen()
 	if s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}

@@ -27,6 +27,9 @@ type SMMExt[P any] struct {
 	centers   []P
 	delegates [][]P // delegates[i] belongs to centers[i]; contains the center
 	merged    []P   // delegate sets dropped by merges, flattened, current phase
+	// open counts the centers whose delegate set is below k: derived
+	// state for the covering exit, as SMM.open.
+	open int
 
 	// Incremental-snapshot bookkeeping; see SMM. For SMM-EXT the append
 	// log records both new centers and accepted delegates — everything
@@ -88,11 +91,24 @@ func (s *SMMExt[P]) minDist(p P) (float64, int) {
 	return metric.MinDistance(p, s.centers, s.d)
 }
 
+// countOpen recounts the centers whose delegate set is below k.
+func (s *SMMExt[P]) countOpen() {
+	s.open = 0
+	for _, set := range s.delegates {
+		if len(set) < s.k {
+			s.open++
+		}
+	}
+}
+
 // addCenter appends a new center with its singleton delegate set and
 // keeps the fast-path mirror in sync.
 func (s *SMMExt[P]) addCenter(p P) {
 	s.centers = append(s.centers, p)
 	s.delegates = append(s.delegates, []P{p})
+	if 1 < s.k {
+		s.open++
+	}
 	s.logAppend(p)
 	if s.scan != nil {
 		s.scan.Append(p)
@@ -114,18 +130,33 @@ func (s *SMMExt[P]) Process(p P) {
 		}
 		return
 	}
+	if s.open == 0 && s.scan != nil {
+		// The covering exit (see SMM.Process): every delegate set is full.
+		if !s.scan.Covers(p, 4*s.threshold) {
+			s.accept(p)
+		}
+		return
+	}
 	dist, nearest := s.minDist(p)
 	if dist > 4*s.threshold {
-		s.addCenter(p)
-		if len(s.centers) == s.kprime+1 {
-			s.threshold *= 2
-			s.startPhase()
-		}
+		s.accept(p)
 		return
 	}
 	if len(s.delegates[nearest]) < s.k {
 		s.delegates[nearest] = append(s.delegates[nearest], p)
 		s.logAppend(p)
+		if len(s.delegates[nearest]) == s.k {
+			s.open--
+		}
+	}
+}
+
+// accept adds p as a center; see SMM.accept.
+func (s *SMMExt[P]) accept(p P) {
+	s.addCenter(p)
+	if len(s.centers) == s.kprime+1 {
+		s.threshold *= 2
+		s.startPhase()
 	}
 }
 
@@ -201,6 +232,7 @@ func (s *SMMExt[P]) merge() {
 	}
 	s.centers = newCenters
 	s.delegates = newDelegates
+	s.countOpen()
 	if s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}
@@ -284,6 +316,9 @@ type SMMGen[P any] struct {
 
 	centers []P
 	counts  []int
+	// open counts the centers whose count is below k: derived state for
+	// the covering exit, as SMM.open.
+	open int
 }
 
 // NewSMMGen returns the generalized-core-set streaming processor.
@@ -307,6 +342,9 @@ func (s *SMMGen[P]) minDist(p P) (float64, int) {
 func (s *SMMGen[P]) addCenter(p P) {
 	s.centers = append(s.centers, p)
 	s.counts = append(s.counts, 1)
+	if 1 < s.k {
+		s.open++
+	}
 	if s.scan != nil {
 		s.scan.Append(p)
 	}
@@ -327,17 +365,32 @@ func (s *SMMGen[P]) Process(p P) {
 		}
 		return
 	}
+	if s.open == 0 && s.scan != nil {
+		// The covering exit (see SMM.Process): every count is at k.
+		if !s.scan.Covers(p, 4*s.threshold) {
+			s.accept(p)
+		}
+		return
+	}
 	dist, nearest := s.minDist(p)
 	if dist > 4*s.threshold {
-		s.addCenter(p)
-		if len(s.centers) == s.kprime+1 {
-			s.threshold *= 2
-			s.startPhase()
-		}
+		s.accept(p)
 		return
 	}
 	if s.counts[nearest] < s.k {
 		s.counts[nearest]++
+		if s.counts[nearest] == s.k {
+			s.open--
+		}
+	}
+}
+
+// accept adds p as a center; see SMM.accept.
+func (s *SMMGen[P]) accept(p P) {
+	s.addCenter(p)
+	if len(s.centers) == s.kprime+1 {
+		s.threshold *= 2
+		s.startPhase()
 	}
 }
 
@@ -402,6 +455,12 @@ func (s *SMMGen[P]) merge() {
 	}
 	s.centers = newCenters
 	s.counts = newCounts
+	s.open = 0
+	for _, c := range s.counts {
+		if c < s.k {
+			s.open++
+		}
+	}
 	if s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}

@@ -48,7 +48,10 @@ type StreamCoreset[P any] interface {
 	// arrive in chunks: the scan of the center set stays hot in cache
 	// across the batch, and on the Euclidean fast path (metric.Vector
 	// points under the Euclidean distance) the whole batch runs on the
-	// flat squared-distance kernels.
+	// flat squared-distance kernels. On that path, once no center can
+	// keep another spare or delegate, a point's scan stops at the first
+	// center within the coverage radius 4·d_i (the covering exit), with
+	// the same resulting state as the full nearest-center scan.
 	ProcessBatch(batch []P)
 	// Coreset returns the core-set of everything processed so far.
 	Coreset() []P
