@@ -221,9 +221,10 @@ func skipSpace(b []byte, i int) int {
 // '-', divided by 10^k: both operands are exact, so the quotient is the
 // nearest float64 to the number, as ParseFloat returns. That takes at
 // most 19 digits (a lone integer 0 aside, leading zeros of the fraction
-// included), so m cannot wrap and is the mantissa strconv reads; m
-// below 2^52; no exponent part; and k ≤ 22 decimals. Every other number
-// goes to strconv.ParseFloat.
+// included), so m cannot wrap and is the mantissa strconv reads, and
+// k ≤ 19 decimals, within the 22 whose powers of ten float64 holds
+// exactly; m below 2^52; and no exponent part. Every other number goes
+// to strconv.ParseFloat.
 func parseNumber(b []byte, i int) (x float64, end int, ok bool) {
 	start := i
 	neg := at(b, i, '-')
@@ -251,7 +252,7 @@ func parseNumber(b []byte, i int) (x float64, end int, ok bool) {
 		}
 	}
 	if !at(b, i, 'e') && !at(b, i, 'E') {
-		if nd+k <= 19 && m < 1<<52 && k <= 22 {
+		if nd+k <= 19 && m < 1<<52 {
 			x = float64(m)
 			if neg {
 				x = -x
@@ -286,11 +287,11 @@ func digits(b []byte, i int, m uint64) (int, uint64) {
 	return i, m
 }
 
-// pow10 holds the powers of ten that float64 represents exactly, the
-// divisors of strconv's exact path.
+// pow10 holds the divisors of strconv's exact path that a number of at
+// most 19 digits can need, all exact in float64.
 var pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 }
 
 // AppendPoints appends the body json.Marshal writes for

@@ -97,9 +97,9 @@ var pointsCorpus = []string{
 }
 
 // exactPathEdges are numbers at the edges of strconv's exact path:
-// mantissas around 2^52 and 2^53, 19 and 20 significant digits, 22 and
-// 23 decimals, leading and trailing zeros, signed zeros, e-notation, and
-// 1e400, which ParseFloat rejects. FuzzPointsDecode takes each as a
+// mantissas around 2^52 and 2^53, 19 and 20 significant digits, 19, 22
+// and 23 decimals, leading and trailing zeros, signed zeros, e-notation,
+// and 1e400, which ParseFloat rejects. FuzzPointsDecode takes each as a
 // one-coordinate body too.
 var exactPathEdges = []string{
 	"4503599627370495", "4503599627370496", "9007199254740993", "-4503599627370495",
@@ -113,6 +113,7 @@ var exactPathEdges = []string{
 	"-0", "-0.0", "0", "0.0", "-0.000", "0.1", "0.3", "123.4567", "99.9999", "-12.5",
 	"1e5", "1E5", "1.5e-3", "4503599627370495e0", "0e0", "-0e-0", "1e22", "1e23", "1e-22",
 	"1e400", "-1e400", "1e-400",
+	"0.0000000000000000001", "-0.0004503599627370495", "0.0004503599627370496",
 }
 
 // TestParseNumberExactPath holds parseNumber to strconv.ParseFloat, bit

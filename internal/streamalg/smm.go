@@ -202,8 +202,10 @@ func (s *SMM[P]) Process(p P) {
 	// Absorbed: retain as a spare for the covering center when spare
 	// retention is on. Duplicates of a center (distance 0) are skipped —
 	// promoting one after that center's deletion would resurface the
-	// deleted value.
-	if s.spareCap > 0 && dist > 0 && len(s.spares[nearest]) < s.spareCap {
+	// deleted value. No center is nearest (index -1) when every distance
+	// overflowed to +Inf under a threshold that did too; p is then
+	// covered but kept by none.
+	if s.spareCap > 0 && dist > 0 && nearest >= 0 && len(s.spares[nearest]) < s.spareCap {
 		s.spares[nearest] = append(s.spares[nearest], p)
 		if len(s.spares[nearest]) == s.spareCap {
 			s.open--

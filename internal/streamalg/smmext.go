@@ -142,7 +142,7 @@ func (s *SMMExt[P]) Process(p P) {
 		s.accept(p)
 		return
 	}
-	if len(s.delegates[nearest]) < s.k {
+	if nearest >= 0 && len(s.delegates[nearest]) < s.k { // -1: see SMM.Process
 		s.delegates[nearest] = append(s.delegates[nearest], p)
 		s.logAppend(p)
 		if len(s.delegates[nearest]) == s.k {
@@ -337,6 +337,16 @@ func (s *SMMGen[P]) minDist(p P) (float64, int) {
 	return metric.MinDistance(p, s.centers, s.d)
 }
 
+// countOpen recounts the centers whose count is below k.
+func (s *SMMGen[P]) countOpen() {
+	s.open = 0
+	for _, c := range s.counts {
+		if c < s.k {
+			s.open++
+		}
+	}
+}
+
 // addCenter appends a new unit-count center and keeps the fast-path
 // mirror in sync.
 func (s *SMMGen[P]) addCenter(p P) {
@@ -377,7 +387,7 @@ func (s *SMMGen[P]) Process(p P) {
 		s.accept(p)
 		return
 	}
-	if s.counts[nearest] < s.k {
+	if nearest >= 0 && s.counts[nearest] < s.k { // -1: see SMM.Process
 		s.counts[nearest]++
 		if s.counts[nearest] == s.k {
 			s.open--
@@ -455,12 +465,7 @@ func (s *SMMGen[P]) merge() {
 	}
 	s.centers = newCenters
 	s.counts = newCounts
-	s.open = 0
-	for _, c := range s.counts {
-		if c < s.k {
-			s.open++
-		}
-	}
+	s.countOpen()
 	if s.scan != nil {
 		s.scan.Rebuild(s.centers)
 	}

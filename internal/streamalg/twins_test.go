@@ -282,6 +282,28 @@ func (w *genTwin) check(t *testing.T) {
 
 func (w *genTwin) exitsTaken() int { return w.exits }
 
+// TestInfiniteDistancesTwins feeds the 81 points of {−1e200, 0, 1e200}^4
+// through all three twin pairs with divmaxd's parameters, one point at
+// a time. The coordinates are finite but every distance between two
+// points overflows to +Inf, and so does the threshold, so each point
+// after the first phase is covered while no center is nearest to it:
+// the absorb step must keep it nowhere, on both paths.
+func TestInfiniteDistancesTwins(t *testing.T) {
+	pts := make([]metric.Vector, 81)
+	for i := range pts {
+		pts[i] = make(metric.Vector, 4)
+		for j, c := 0, i; j < 4; j, c = j+1, c/3 {
+			pts[i][j] = float64(c%3-1) * 1e200
+		}
+	}
+	for _, w := range []foldTwin{newSMMTwin(16, 64, 2), newExtTwin(16, 64), newGenTwin(16, 64)} {
+		for _, p := range pts {
+			w.ingest([]metric.Vector{p})
+			w.check(t)
+		}
+	}
+}
+
 // gridPoints draws n points uniform in [0, 100) on divmaxbench's 1e-4
 // grid.
 func gridPoints(rng *rand.Rand, n, dim int) []metric.Vector {
