@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos cluster-chaos durability envelope bench bench-smoke bench-json fmt vet ci
+.PHONY: build test race fuzz-smoke chaos cluster-chaos durability envelope bench bench-smoke bench-json fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,22 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Each fuzz target of the race job, 20 s apiece: insert/delete/query
+# interleaving, remapped engine rebuilds against fresh builds, the
+# streaming fold's covering exit against the generic scan, the blocked
+# distance kernels against the generic ones, JL-projected selection
+# quality, the batch decoder and encoder against encoding/json, and the
+# snapshot codec against encoding/json. (FuzzTornTail runs in the
+# durability job.)
+fuzz-smoke:
+	$(GO) test -run 'Fuzz' -fuzz=FuzzDeltaInterleaving -fuzztime=20s ./internal/server
+	$(GO) test -run 'Fuzz' -fuzz=FuzzRebuildEngine -fuzztime=20s ./internal/sequential
+	$(GO) test -run 'Fuzz' -fuzz=FuzzFoldTwins -fuzztime=20s ./internal/streamalg
+	$(GO) test -run 'Fuzz' -fuzz=FuzzBlockedVsGenericSqDist -fuzztime=20s ./internal/metric
+	$(GO) test -run 'Fuzz' -fuzz=FuzzJLSelectionQuality -fuzztime=20s ./internal/server
+	$(GO) test -run 'Fuzz' -fuzz=FuzzPointsDecode -fuzztime=20s ./internal/api
+	$(GO) test -run 'Fuzz' -fuzz=FuzzSnapshotCodec -fuzztime=20s ./internal/api
 
 # The fault-injection suites under the race detector: shard panics and
 # supervised restarts, restart-budget exhaustion, wedged shards shedding

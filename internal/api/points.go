@@ -141,22 +141,40 @@ func DecodePoints(body []byte, dst []divmax.Vector) ([]divmax.Vector, bool) {
 }
 
 func decodePoints(b []byte, out []divmax.Vector) ([]divmax.Vector, bool) {
-	const key = `"points"`
-	i := skipSpace(b, 0)
-	if !at(b, i, '{') {
+	i, ok := field(b, skipSpace(b, 0), '{', `"points"`)
+	if !ok {
 		return out, false
 	}
-	i = skipSpace(b, i+1)
-	if !bytes.HasPrefix(b[i:], []byte(key)) {
+	if out, i, ok = decodeVectors(b, i, out); !ok || !at(b, i, '}') || skipSpace(b, i+1) != len(b) {
 		return out, false
+	}
+	return out, true
+}
+
+// field expects b[i] to be delim and, after whitespace, the quoted key
+// and a colon, and returns the index of the value that follows.
+func field(b []byte, i int, delim byte, key string) (int, bool) {
+	if !at(b, i, delim) {
+		return 0, false
+	}
+	i = skipSpace(b, i+1)
+	if j := i + len(key); j > len(b) || string(b[i:j]) != key {
+		return 0, false
 	}
 	i = skipSpace(b, i+len(key))
 	if !at(b, i, ':') {
-		return out, false
+		return 0, false
 	}
-	i = skipSpace(b, i+1)
+	return skipSpace(b, i+1), true
+}
+
+// decodeVectors decodes the array of points [[x,...],...] starting at
+// b[i], appending each point to out as a Vector of its own, and returns
+// out with the index of the first byte after the array and any
+// whitespace. On failure out holds the points appended so far.
+func decodeVectors(b []byte, i int, out []divmax.Vector) ([]divmax.Vector, int, bool) {
 	if !at(b, i, '[') {
-		return out, false
+		return out, 0, false
 	}
 	i = skipSpace(b, i+1)
 	var scratch [128]float64
@@ -164,25 +182,25 @@ func decodePoints(b []byte, out []divmax.Vector) ([]divmax.Vector, bool) {
 	for n := 0; !at(b, i, ']'); n++ {
 		if n > 0 {
 			if !at(b, i, ',') {
-				return out, false
+				return out, 0, false
 			}
 			i = skipSpace(b, i+1)
 		}
 		if !at(b, i, '[') {
-			return out, false
+			return out, 0, false
 		}
 		i = skipSpace(b, i+1)
 		coords = coords[:0]
 		for !at(b, i, ']') {
 			if len(coords) > 0 {
 				if !at(b, i, ',') {
-					return out, false
+					return out, 0, false
 				}
 				i = skipSpace(b, i+1)
 			}
 			x, end, ok := parseNumber(b, i)
 			if !ok {
-				return out, false
+				return out, 0, false
 			}
 			coords = append(coords, x)
 			i = skipSpace(b, end)
@@ -192,11 +210,7 @@ func decodePoints(b []byte, out []divmax.Vector) ([]divmax.Vector, bool) {
 		out = append(out, p)
 		i = skipSpace(b, i+1)
 	}
-	i = skipSpace(b, i+1)
-	if !at(b, i, '}') || skipSpace(b, i+1) != len(b) {
-		return out, false
-	}
-	return out, true
+	return out, skipSpace(b, i+1), true
 }
 
 // at reports whether b[i] is c.
@@ -287,11 +301,14 @@ func digits(b []byte, i int, m uint64) (int, uint64) {
 	return i, m
 }
 
-// pow10 holds the divisors of strconv's exact path that a number of at
-// most 19 digits can need, all exact in float64.
+// pow10 holds the powers of ten of strconv's exact path, all exact in
+// float64: parseNumber divides by at most 1e19 (a number of at most 19
+// digits), and appendFloat stops by 1e21, where |x| ≥ 1e-6 makes its
+// mantissa 1e15 or more.
 var pow10 = [...]float64{
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	1e20, 1e21,
 }
 
 // AppendPoints appends the body json.Marshal writes for
@@ -302,10 +319,21 @@ var pow10 = [...]float64{
 // coordinate is the *json.UnsupportedValueError json.Marshal returns,
 // with dst returned as given.
 func AppendPoints(dst []byte, pts []divmax.Vector) ([]byte, error) {
-	if pts == nil {
-		return append(dst, `{"points":null}`...), nil
+	out, err := appendVectors(append(dst, `{"points":`...), pts)
+	if err != nil {
+		return dst, err
 	}
-	out := append(dst, `{"points":[`...)
+	return append(out, '}'), nil
+}
+
+// appendVectors appends pts as encoding/json writes a []divmax.Vector,
+// or the *json.UnsupportedValueError it returns for a NaN or infinite
+// coordinate.
+func appendVectors(out []byte, pts []divmax.Vector) ([]byte, error) {
+	if pts == nil {
+		return append(out, "null"...), nil
+	}
+	out = append(out, '[')
 	for i, p := range pts {
 		if i > 0 {
 			out = append(out, ',')
@@ -320,20 +348,43 @@ func AppendPoints(dst []byte, pts []divmax.Vector) ([]byte, error) {
 				out = append(out, ',')
 			}
 			if math.IsInf(x, 0) || math.IsNaN(x) {
-				return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
+				return out, &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
 			}
 			out = appendFloat(out, x)
 		}
 		out = append(out, ']')
 	}
-	return append(out, "]}"...), nil
+	return append(out, ']'), nil
 }
 
 // appendFloat formats a finite x as encoding/json does (ES6 number to
-// string).
+// string): strconv's shortest form, in 'f' format except below 1e-6 and
+// from 1e21 on.
+//
+// For 1e-6 ≤ |x| < 1e15 it first takes strconv's exact path, the
+// mirror of parseNumber's: the smallest k for which m = round(|x|·10^k)
+// is below 10^15 and float64(m)/10^k == |x|, written as m/10^k. The
+// division is exact in both operands and correctly rounded, so m/10^k
+// reads back to x; and no two decimals of at most 15 significant
+// digits round to the same float64, so it is the one such decimal, the
+// value of strconv's shortest output, whose 'f' form the smallest k
+// gives digit for digit. Every other number, and one whose shortest
+// form needs 16 or 17 digits, goes to strconv.AppendFloat.
 func appendFloat(b []byte, x float64) []byte {
+	abs := math.Abs(x)
+	if 1e-6 <= abs && abs < 1e15 {
+		for k, p := range pow10 {
+			m := uint64(abs*p + 0.5)
+			if m >= 1e15 {
+				break
+			}
+			if float64(m)/p == abs {
+				return appendDecimal(b, x < 0, m, k)
+			}
+		}
+	}
 	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, x, format, -1, 64)
@@ -345,4 +396,32 @@ func appendFloat(b []byte, x float64) []byte {
 		}
 	}
 	return b
+}
+
+// appendDecimal appends m/10^k in 'f' format, negated when neg: the
+// integer part, then, for k > 0, a point and k digits.
+func appendDecimal(b []byte, neg bool, m uint64, k int) []byte {
+	var buf [24]byte // '-', 15 digits or "0." and 20 decimals
+	i := len(buf)
+	for range k {
+		i--
+		buf[i] = byte('0' + m%10)
+		m /= 10
+	}
+	if k > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = byte('0' + m%10)
+		if m /= 10; m == 0 {
+			break
+		}
+	}
+	if neg {
+		i--
+		buf[i] = '-'
+	}
+	return append(b, buf[i:]...)
 }

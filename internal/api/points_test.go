@@ -470,3 +470,84 @@ func BenchmarkDecodePoints(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshotCodec compares the snapshot codec with encoding/json
+// on a 655-point d=8 reply of 1e-4-grid coordinates (42 KB, a worker's
+// proxy-family reply under divmaxbench's cluster_d8): the worker's
+// encode and the coordinator's decode, each into a recycled buffer or a
+// fresh reply as they run there. The format cases time appendFloat
+// alone against the strconv.AppendFloat call it makes off its exact
+// path, per coordinate.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	var req IngestRequest
+	if err := json.Unmarshal(benchBody(655, 8), &req); err != nil {
+		b.Fatal(err)
+	}
+	r := SnapshotResponse{Points: req.Points, Processed: 1 << 20, Shards: 2,
+		Cursor: SnapshotCursor{Gens: []uint64{12, 9}, Poss: []int{330, 325}}}
+	body, err := AppendSnapshot(nil, &r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func(dst []byte) []byte
+	}{
+		{"encode/json", func(dst []byte) []byte {
+			buf := bytes.NewBuffer(dst)
+			if err := json.NewEncoder(buf).Encode(&r); err != nil {
+				b.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
+		{"encode/fast", func(dst []byte) []byte {
+			out, err := AppendSnapshot(dst, &r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return out
+		}},
+		{"decode/json", func(dst []byte) []byte {
+			var out SnapshotResponse
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&out); err != nil {
+				b.Fatal(err)
+			}
+			return dst
+		}},
+		{"decode/fast", func(dst []byte) []byte {
+			var out SnapshotResponse
+			if !DecodeSnapshot(body, &out) {
+				b.Fatal("fast path declined the benchmark reply")
+			}
+			return dst
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			var dst []byte
+			for b.Loop() {
+				dst = c.run(dst[:0])
+			}
+		})
+	}
+	for _, c := range []struct {
+		name   string
+		format func(dst []byte, x float64) []byte
+	}{
+		{"format/strconv", func(dst []byte, x float64) []byte { return strconv.AppendFloat(dst, x, 'f', -1, 64) }},
+		{"format/exact", appendFloat},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var dst []byte
+			for b.Loop() {
+				for _, p := range r.Points {
+					for _, x := range p {
+						dst = c.format(dst[:0], x)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*655*8), "ns/coord")
+		})
+	}
+}

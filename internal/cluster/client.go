@@ -282,11 +282,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 == 2 {
-		if out == nil {
-			_, err := io.Copy(io.Discard, resp.Body)
-			return err
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		return decodeBody(resp.Body, out)
 	}
 	he := &HTTPError{Status: resp.StatusCode}
 	var env api.ErrorEnvelope
@@ -299,4 +295,27 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		}
 	}
 	return he
+}
+
+// decodeBody decodes a 2xx body into out, when non-nil, and leaves the
+// body at EOF: the transport reuses a connection only when its reply was
+// read to the end, and a json.Decoder stops at the end of the value,
+// short of the end of a chunked reply. A snapshot reply is read whole
+// by api.ReadSnapshot; other values are decoded, then what follows them
+// is drained.
+func decodeBody(body io.Reader, out any) error {
+	switch out := out.(type) {
+	case nil:
+		_, err := io.Copy(io.Discard, body)
+		return err
+	case *api.SnapshotResponse:
+		return api.ReadSnapshot(body, out)
+	default:
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return err
+		}
+		// The value is decoded; a failed drain costs only the connection.
+		io.Copy(io.Discard, body)
+		return nil
+	}
 }

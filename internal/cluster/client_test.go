@@ -2,9 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -197,5 +202,84 @@ func TestClientRetryCountsViaOnRetry(t *testing.T) {
 	}
 	if retries.Load() != 2 {
 		t.Fatalf("OnRetry fired %d times, want 2", retries.Load())
+	}
+}
+
+// stubWorker serves fixed 2xx bodies by path and counts the connections
+// its clients open.
+func stubWorker(t *testing.T, bodies map[string]func(w http.ResponseWriter)) (*Client, *atomic.Int64) {
+	t.Helper()
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		bodies[r.URL.Path](w)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return NewClient(ClientConfig{BaseURL: ts.URL, HTTPClient: ts.Client()}), &conns
+}
+
+// TestClientReusesConnections: a client reading replies one after
+// another keeps one connection, for chunked replies larger than a
+// json.Decoder's read-ahead too — full proxy snapshots of 816 points
+// at d=8, query answers of 16 points at d=512 — because it leaves every
+// body at EOF before closing it.
+func TestClientReusesConnections(t *testing.T) {
+	snap := api.SnapshotResponse{Points: testVecs(1, 816, 8), Processed: 4096, Shards: 2,
+		Cursor: api.SnapshotCursor{Gens: []uint64{3, 4}, Poss: []int{400, 416}}}
+	query := api.QueryResponse{Measure: "remote-edge", K: 16, Solution: testVecs(2, 16, 512), Value: 1}
+	c, conns := stubWorker(t, map[string]func(http.ResponseWriter){
+		"/v1/snapshot": func(w http.ResponseWriter) { json.NewEncoder(w).Encode(snap) },
+		"/v1/query":    func(w http.ResponseWriter) { json.NewEncoder(w).Encode(query) },
+	})
+	ctx := context.Background()
+	for i := range 50 {
+		got, err := c.Snapshot(ctx, "proxy", nil)
+		if err != nil || len(got.Points) != len(snap.Points) || got.Cursor.Poss[1] != 416 {
+			t.Fatalf("snapshot %d: %d points, cursor %+v, %v", i, len(got.Points), got.Cursor, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("50 snapshots opened %d connections, want 1", n)
+	}
+	for i := range 30 {
+		if got, err := c.Query(ctx, "remote-edge", 16); err != nil || len(got.Solution) != 16 {
+			t.Fatalf("query %d: %d points, %v", i, len(got.Solution), err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("50 snapshots and 30 queries opened %d connections, want 1", n)
+	}
+}
+
+// TestClientSnapshotFallback: a reply the fast decoder declines — a
+// worker writing the same fields in another order — decodes through
+// encoding/json exactly as the bytes say.
+func TestClientSnapshotFallback(t *testing.T) {
+	want := api.SnapshotResponse{Partial: true, Points: []divmax.Vector{{1.5, -2}, {math.Copysign(0, -1), 1e-7}},
+		Processed: 42, Shards: 2, Cursor: api.SnapshotCursor{Gens: []uint64{7, 8}, Poss: []int{1, 2}}}
+	body := `{"shards":2,"cursor":{"poss":[1,2],"gens":[7,8]},"processed":42,"points":[[1.5,-2],[-0,1e-7]],"partial":true}`
+	if api.DecodeSnapshot([]byte(body), new(api.SnapshotResponse)) {
+		t.Fatal("the fast path took a reply with reordered keys")
+	}
+	c, _ := stubWorker(t, map[string]func(http.ResponseWriter){
+		"/v1/snapshot": func(w http.ResponseWriter) { io.WriteString(w, body) },
+	})
+	got, err := c.Snapshot(context.Background(), "edge", nil)
+	if err != nil || !reflect.DeepEqual(got.Cursor, want.Cursor) || got.Partial != want.Partial ||
+		got.Processed != want.Processed || got.Shards != want.Shards || len(got.Points) != len(want.Points) {
+		t.Fatalf("Snapshot = %+v, %v; want %+v", got, err, want)
+	}
+	for i, p := range got.Points {
+		for j, x := range p {
+			if math.Float64bits(x) != math.Float64bits(want.Points[i][j]) {
+				t.Fatalf("point %d coordinate %d: %v, want %v", i, j, x, want.Points[i][j])
+			}
+		}
 	}
 }

@@ -179,5 +179,5 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		resp.Processed += rep.Processed
 		resp.Points = append(resp.Points, rep.Points...)
 	}
-	writeJSON(w, resp)
+	api.WriteSnapshot(w, &resp, func(err error) { logf("server: encoding response: %v", err) })
 }

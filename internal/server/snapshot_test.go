@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -127,5 +128,76 @@ func TestSnapshotEndpointRejects(t *testing.T) {
 	get.Body.Close()
 	if get.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: status %d, want 405", get.StatusCode)
+	}
+}
+
+// postSnapshotBody returns the raw /v1/snapshot reply body.
+func postSnapshotBody(t *testing.T, url, family string, cursor *api.SnapshotCursor) []byte {
+	t.Helper()
+	body, err := json.Marshal(api.SnapshotRequest{Family: family, Cursor: cursor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/snapshot", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("snapshot: status %d, Content-Type %q, %v", resp.StatusCode, resp.Header.Get("Content-Type"), err)
+	}
+	return out
+}
+
+// TestSnapshotBodyMatchesEncoder: every /v1/snapshot body — empty,
+// full and delta, with coordinates on and off the formatter's exact
+// path — is byte for byte what json.NewEncoder(w).Encode writes for
+// the reply it decodes to.
+func TestSnapshotBodyMatchesEncoder(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 2, MaxK: 4, KPrime: 64})
+	golden := func(what string, body []byte) api.SnapshotResponse {
+		t.Helper()
+		var resp api.SnapshotResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: body\n%s\njson.Encoder\n%s", what, body, want.Bytes())
+		}
+		return resp
+	}
+	for _, fam := range []string{"edge", "proxy"} {
+		if empty := golden(fam+" empty", postSnapshotBody(t, ts.URL, fam, nil)); len(empty.Points) != 0 {
+			t.Fatalf("%s: %d points before any ingest", fam, len(empty.Points))
+		}
+	}
+	postIngest(t, ts.URL, []divmax.Vector{
+		{12.3456, -0.0001}, {1e-7, 1e21}, {0.1 + 0.2, 1.0 / 3}, {999999999999999, 1e15},
+		{-5e-324, 4503599627370496.5}, {1.5e-6, -987.654321},
+	})
+	for _, fam := range []string{"edge", "proxy"} {
+		full := golden(fam+" full", postSnapshotBody(t, ts.URL, fam, nil))
+		if full.Partial || len(full.Points) == 0 {
+			t.Fatalf("%s: full snapshot partial=%v with %d points", fam, full.Partial, len(full.Points))
+		}
+		if same := golden(fam+" empty delta", postSnapshotBody(t, ts.URL, fam, &full.Cursor)); !same.Partial || len(same.Points) != 0 {
+			t.Fatalf("%s: unchanged stream answered partial=%v with %d points", fam, same.Partial, len(same.Points))
+		}
+	}
+	cursors := map[string]api.SnapshotCursor{}
+	for _, fam := range []string{"edge", "proxy"} {
+		cursors[fam] = golden(fam+" full", postSnapshotBody(t, ts.URL, fam, nil)).Cursor
+	}
+	postIngest(t, ts.URL, []divmax.Vector{{-3000.5, 2e-6}, {7777.0625, 0.000123}})
+	for _, fam := range []string{"edge", "proxy"} {
+		c := cursors[fam]
+		if delta := golden(fam+" delta", postSnapshotBody(t, ts.URL, fam, &c)); !delta.Partial || len(delta.Points) == 0 {
+			t.Fatalf("%s: delta partial=%v with %d points", fam, delta.Partial, len(delta.Points))
+		}
 	}
 }
