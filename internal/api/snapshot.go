@@ -78,13 +78,15 @@ func WriteSnapshot(w http.ResponseWriter, r *SnapshotResponse, onErr func(error)
 // buffer and decodes it into *resp, a zero value: through
 // DecodeSnapshot when it takes the bytes, otherwise through a
 // json.Decoder over the same bytes and then the read error, which
-// decodes the first JSON value just as one reading r itself would.
+// decodes the first JSON value just as one reading r itself would. A
+// read error after a complete value fails neither path: json.Decoder
+// stops at the end of the value.
 func ReadSnapshot(r io.Reader, resp *SnapshotResponse) error {
 	buf := getBody()
 	defer putBody(buf)
 	_, rerr := buf.ReadFrom(r)
 	body := buf.Bytes()
-	if rerr == nil && DecodeSnapshot(body, resp) {
+	if DecodeSnapshot(body, resp) {
 		return nil
 	}
 	src := io.Reader(bytes.NewReader(body))

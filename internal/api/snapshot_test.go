@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http/httptest"
 	"reflect"
@@ -23,7 +24,8 @@ import (
 // formatEdges are numbers at the edges of appendFloat's exact path: the
 // 1e-6 and 1e15 limits and their float64 neighbours, 15- and 16-digit
 // mantissas, sums that need 17 digits, and neighbours of 1e-4-grid
-// values. FuzzSnapshotCodec takes each as a coordinate.
+// values. FuzzSnapshotCodec's seeds take each, both signs, as a
+// coordinate.
 var formatEdges = []float64{
 	1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1.5e-6, 1.23456789012345e-6,
 	999999999999999, 99999999999999.9, math.Nextafter(1e15, 0), 1e15, 1e21, 1e20,
@@ -33,19 +35,6 @@ var formatEdges = []float64{
 	12.3456, math.Nextafter(12.3456, 0), math.Nextafter(12.3456, 100), 99.9999,
 	math.Nextafter(99.9999, 100), 0.0001, math.Nextafter(0.0001, 0), 50.5, 0.5,
 	math.Copysign(0, -1), 0,
-}
-
-// TestAppendFloatEdges holds appendFloat to encoding/json at the edges
-// of the exact path, both signs.
-func TestAppendFloatEdges(t *testing.T) {
-	for _, x := range formatEdges {
-		for _, x := range []float64{x, -x} {
-			want, err := json.Marshal(x)
-			if got := appendFloat(nil, x); err != nil || string(got) != string(want) {
-				t.Errorf("%v: appendFloat wrote %s, json.Marshal %s (%v)", x, got, want, err)
-			}
-		}
-	}
 }
 
 // snapshotCorpus seeds FuzzSnapshotCodec: canonical replies and every
@@ -258,6 +247,24 @@ func mutateSnapshot(body []byte, r SnapshotResponse, sel int) [][]byte {
 		out = append(out, []byte(s[:i]+nums[(sel+k)%len(nums)]+s[j:]))
 	}
 	return out
+}
+
+// TestReadSnapshotReadError: a read error after a complete reply, as
+// when a connection resets past the last byte, fails neither path, as
+// it fails no json.Decoder; one that cuts the reply is returned.
+func TestReadSnapshotReadError(t *testing.T) {
+	reset := errors.New("connection reset")
+	for _, body := range []string{snapshotCorpus[1], snapshotCorpus[3]} {
+		for _, cut := range []int{len(body), len(body) / 2} {
+			src := func() io.Reader { return io.MultiReader(strings.NewReader(body[:cut]), errReader{reset}) }
+			var want, got SnapshotResponse
+			werr := json.NewDecoder(src()).Decode(&want)
+			err := ReadSnapshot(src(), &got)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) || !sameSnapshot(got, want) {
+				t.Errorf("%q cut at %d: ReadSnapshot %+v, %v; json.Decoder %+v, %v", body, cut, got, err, want, werr)
+			}
+		}
+	}
 }
 
 // TestAppendSnapshotUnsupported: a non-finite coordinate is the error
