@@ -303,8 +303,8 @@ func digits(b []byte, i int, m uint64) (int, uint64) {
 
 // pow10 holds the powers of ten of strconv's exact path, all exact in
 // float64: parseNumber divides by at most 1e19 (a number of at most 19
-// digits), and appendFloat stops by 1e21, where |x| ≥ 1e-6 makes its
-// mantissa 1e15 or more.
+// digits), and shortDecimal multiplies by at most 1e21, where |x| ≥ 1e-6
+// makes its mantissa 1e15 or more.
 var pow10 = [...]float64{
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
@@ -359,29 +359,12 @@ func appendVectors(out []byte, pts []divmax.Vector) ([]byte, error) {
 
 // appendFloat formats a finite x as encoding/json does (ES6 number to
 // string): strconv's shortest form, in 'f' format except below 1e-6 and
-// from 1e21 on.
-//
-// For 1e-6 ≤ |x| < 1e15 it first takes strconv's exact path, the
-// mirror of parseNumber's: the smallest k for which m = round(|x|·10^k)
-// is below 10^15 and float64(m)/10^k == |x|, written as m/10^k. The
-// division is exact in both operands and correctly rounded, so m/10^k
-// reads back to x; and no two decimals of at most 15 significant
-// digits round to the same float64, so it is the one such decimal, the
-// value of strconv's shortest output, whose 'f' form the smallest k
-// gives digit for digit. Every other number, and one whose shortest
-// form needs 16 or 17 digits, goes to strconv.AppendFloat.
+// from 1e21 on. It writes shortDecimal's m/10^k when there is one, and
+// goes to strconv.AppendFloat otherwise.
 func appendFloat(b []byte, x float64) []byte {
 	abs := math.Abs(x)
-	if 1e-6 <= abs && abs < 1e15 {
-		for k, p := range pow10 {
-			m := uint64(abs*p + 0.5)
-			if m >= 1e15 {
-				break
-			}
-			if float64(m)/p == abs {
-				return appendDecimal(b, x < 0, m, k)
-			}
-		}
+	if m, k, ok := shortDecimal(abs); ok {
+		return appendDecimal(b, x < 0, m, k)
 	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -396,6 +379,51 @@ func appendFloat(b []byte, x float64) []byte {
 		}
 	}
 	return b
+}
+
+// shortDecimal is strconv's exact path for formatting, the mirror of
+// parseNumber's: for 1e-6 ≤ abs < 1e15 it returns the m < 10^15 and the
+// fewest decimals k for which float64(m)/10^k == abs, when there are
+// any. The division is exact in both operands and correctly rounded, so
+// m/10^k reads back to abs; and no two decimals of at most 15
+// significant digits round to the same float64, so it is the one such
+// decimal, the value of strconv's shortest output, whose 'f' form m and
+// k give digit for digit. A number whose shortest form needs 16 or 17
+// digits has none, and costs one division to find that out.
+//
+// It tries only the largest k for which m = round(abs·10^k) stays below
+// 10^15: a decimal with fewer decimals that reads back to abs is the
+// same decimal there, m with trailing zeros, which it then strips. That
+// k is 15 − ⌈e·log10 2⌉ for abs < 2^e, which keeps abs·10^k below
+// 10^15, or one more.
+func shortDecimal(abs float64) (m uint64, k int, ok bool) {
+	if !(1e-6 <= abs && abs < 1e15) {
+		return 0, 0, false
+	}
+	e := int(math.Float64bits(abs)>>52) - 1022 // abs < 2^e, -19 ≤ e ≤ 50
+	k = max(15-(e*78913+1<<18-1)>>18, 0)       // 78913/2^18 ≈ log10 2
+	m = uint64(abs*pow10[k] + 0.5)
+	if n := uint64(abs*pow10[k+1] + 0.5); n < 1e15 {
+		m, k = n, k+1
+	}
+	if m >= 1e15 || float64(m)/pow10[k] != abs {
+		return 0, 0, false
+	}
+	// m < 10^15 has at most 14 trailing zeros: strip them 8, 4, 2, 1 at
+	// a time, keeping k ≥ 0.
+	if k >= 8 && m%1e8 == 0 {
+		m, k = m/1e8, k-8
+	}
+	if k >= 4 && m%1e4 == 0 {
+		m, k = m/1e4, k-4
+	}
+	if k >= 2 && m%100 == 0 {
+		m, k = m/100, k-2
+	}
+	if k >= 1 && m%10 == 0 {
+		m, k = m/10, k-1
+	}
+	return m, k, true
 }
 
 // appendDecimal appends m/10^k in 'f' format, negated when neg: the

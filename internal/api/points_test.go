@@ -346,6 +346,36 @@ func TestAppendPointsMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestShortDecimal: appendFloat writes json.Marshal's bytes for random
+// decimals of 1 to 15 significant digits at every scale of the exact
+// path, 1e-4-grid values, full-precision values and their float64
+// neighbours; and shortDecimal takes every such decimal, so the k it
+// derives from the exponent is never one too few.
+func TestShortDecimal(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	check := func(x float64) {
+		want, err := json.Marshal(x)
+		if got := appendFloat(nil, x); err != nil || string(got) != string(want) {
+			t.Fatalf("appendFloat(%v) = %s; json.Marshal %s, %v", x, got, want, err)
+		}
+	}
+	for range 20000 {
+		digits := 1 + rng.IntN(15)
+		m := rng.Int64N(int64(pow10[digits]))
+		x := float64(m) / pow10[rng.IntN(22)]
+		if 1e-6 <= x && x < 1e15 {
+			if _, _, ok := shortDecimal(x); !ok {
+				t.Fatalf("%v: shortDecimal missed a decimal of %d digits", x, digits)
+			}
+		}
+		full := rng.Float64() * pow10[rng.IntN(16)]
+		for _, y := range []float64{x, -x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)),
+			float64(rng.IntN(100*1e4)) / 1e4, full, full / 1e6, full / 1e7} {
+			check(y)
+		}
+	}
+}
+
 // FuzzPointsDecode: on every input, DecodePoints declines or agrees
 // with json.Unmarshal — accept or reject, point count and lengths,
 // every coordinate's bits — and ReadBatch answers as the json.Decoder
@@ -472,82 +502,98 @@ func BenchmarkDecodePoints(b *testing.B) {
 }
 
 // BenchmarkSnapshotCodec compares the snapshot codec with encoding/json
-// on a 655-point d=8 reply of 1e-4-grid coordinates (42 KB, a worker's
-// proxy-family reply under divmaxbench's cluster_d8): the worker's
-// encode and the coordinator's decode, each into a recycled buffer or a
-// fresh reply as they run there. The format cases time appendFloat
-// alone against the strconv.AppendFloat call it makes off its exact
-// path, per coordinate.
+// on 655-point d=8 replies: "grid" holds 1e-4-grid coordinates in
+// [0, 100) (42 KB, a worker's proxy-family reply under divmaxbench's
+// cluster_d8), whose shortest forms the exact path writes; "full" holds
+// full-precision coordinates in [0, 10) (cmd/bench's cluster suite),
+// whose 16- and 17-digit shortest forms go to strconv. Each times the
+// worker's encode and the coordinator's decode, each into a recycled
+// buffer or a fresh reply as they run there; the format cases time
+// appendFloat alone against the strconv.AppendFloat call it makes off
+// its exact path, per coordinate.
 func BenchmarkSnapshotCodec(b *testing.B) {
-	var req IngestRequest
-	if err := json.Unmarshal(benchBody(655, 8), &req); err != nil {
+	var grid IngestRequest
+	if err := json.Unmarshal(benchBody(655, 8), &grid); err != nil {
 		b.Fatal(err)
 	}
-	r := SnapshotResponse{Points: req.Points, Processed: 1 << 20, Shards: 2,
-		Cursor: SnapshotCursor{Gens: []uint64{12, 9}, Poss: []int{330, 325}}}
-	body, err := AppendSnapshot(nil, &r)
-	if err != nil {
-		b.Fatal(err)
+	rng := rand.New(rand.NewPCG(2, 655*8))
+	full := make([]divmax.Vector, 655)
+	for i := range full {
+		full[i] = make(divmax.Vector, 8)
+		for j := range full[i] {
+			full[i][j] = rng.Float64() * 10
+		}
 	}
-	for _, c := range []struct {
+	for _, data := range []struct {
 		name string
-		run  func(dst []byte) []byte
-	}{
-		{"encode/json", func(dst []byte) []byte {
-			buf := bytes.NewBuffer(dst)
-			if err := json.NewEncoder(buf).Encode(&r); err != nil {
-				b.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
-		{"encode/fast", func(dst []byte) []byte {
-			out, err := AppendSnapshot(dst, &r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return out
-		}},
-		{"decode/json", func(dst []byte) []byte {
-			var out SnapshotResponse
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-			return dst
-		}},
-		{"decode/fast", func(dst []byte) []byte {
-			var out SnapshotResponse
-			if !DecodeSnapshot(body, &out) {
-				b.Fatal("fast path declined the benchmark reply")
-			}
-			return dst
-		}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			var dst []byte
-			for b.Loop() {
-				dst = c.run(dst[:0])
-			}
-		})
-	}
-	for _, c := range []struct {
-		name   string
-		format func(dst []byte, x float64) []byte
-	}{
-		{"format/strconv", func(dst []byte, x float64) []byte { return strconv.AppendFloat(dst, x, 'f', -1, 64) }},
-		{"format/exact", appendFloat},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var dst []byte
-			for b.Loop() {
-				for _, p := range r.Points {
-					for _, x := range p {
-						dst = c.format(dst[:0], x)
+		pts  []divmax.Vector
+	}{{"grid", grid.Points}, {"full", full}} {
+		r := SnapshotResponse{Points: data.pts, Processed: 1 << 20, Shards: 2,
+			Cursor: SnapshotCursor{Gens: []uint64{12, 9}, Poss: []int{330, 325}}}
+		body, err := AppendSnapshot(nil, &r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			run  func(dst []byte) []byte
+		}{
+			{"encode/json", func(dst []byte) []byte {
+				buf := bytes.NewBuffer(dst)
+				if err := json.NewEncoder(buf).Encode(&r); err != nil {
+					b.Fatal(err)
+				}
+				return buf.Bytes()
+			}},
+			{"encode/fast", func(dst []byte) []byte {
+				out, err := AppendSnapshot(dst, &r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return out
+			}},
+			{"decode/json", func(dst []byte) []byte {
+				var out SnapshotResponse
+				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&out); err != nil {
+					b.Fatal(err)
+				}
+				return dst
+			}},
+			{"decode/fast", func(dst []byte) []byte {
+				var out SnapshotResponse
+				if !DecodeSnapshot(body, &out) {
+					b.Fatal("fast path declined the benchmark reply")
+				}
+				return dst
+			}},
+		} {
+			b.Run(data.name+"/"+c.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				var dst []byte
+				for b.Loop() {
+					dst = c.run(dst[:0])
+				}
+			})
+		}
+		for _, c := range []struct {
+			name   string
+			format func(dst []byte, x float64) []byte
+		}{
+			{"format/strconv", func(dst []byte, x float64) []byte { return strconv.AppendFloat(dst, x, 'f', -1, 64) }},
+			{"format/exact", appendFloat},
+		} {
+			b.Run(data.name+"/"+c.name, func(b *testing.B) {
+				var dst []byte
+				for b.Loop() {
+					for _, p := range r.Points {
+						for _, x := range p {
+							dst = c.format(dst[:0], x)
+						}
 					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*655*8), "ns/coord")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*655*8), "ns/coord")
+			})
+		}
 	}
 }

@@ -57,19 +57,19 @@ func appendInts[T int | uint64](b []byte, xs []T) []byte {
 	return append(b, ']')
 }
 
-// WriteSnapshot writes r as WriteJSON would, byte for byte, through
-// AppendSnapshot and a pooled buffer; an encode error goes to onErr.
+// WriteSnapshot writes r as WriteJSON would, byte for byte, appending it
+// to a pooled buffer's storage; an encode error goes to onErr. The
+// storage goes back to the pool as append left it, grown for a reply
+// that outgrew it, and putBody drops it past maxPooledBody.
 func WriteSnapshot(w http.ResponseWriter, r *SnapshotResponse, onErr func(error)) {
 	w.Header().Set("Content-Type", "application/json")
-	buf := getBody()
-	defer putBody(buf)
-	b, err := AppendSnapshot(buf.AvailableBuffer(), r)
+	b, err := AppendSnapshot(getBody().AvailableBuffer(), r)
+	defer putBody(bytes.NewBuffer(b[:0]))
 	if err != nil {
 		onErr(err)
 		return
 	}
-	buf.Write(b) // in place when b fit; else buf grows for the next reply
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(b); err != nil {
 		onErr(err)
 	}
 }

@@ -22,11 +22,12 @@ import (
 // answers every body as json.Decoder does.
 
 // formatEdges are numbers at the edges of appendFloat's exact path: the
-// 1e-6 and 1e15 limits and their float64 neighbours, 15- and 16-digit
-// mantissas, sums that need 17 digits, and neighbours of 1e-4-grid
-// values. FuzzSnapshotCodec's seeds take each, both signs, as a
-// coordinate.
+// 1e-6 and 1e15 limits and their float64 neighbours, powers of two,
+// where shortDecimal's k steps, 15- and 16-digit mantissas, sums that
+// need 17 digits, and neighbours of 1e-4-grid values.
+// FuzzSnapshotCodec's seeds take each, both signs, as a coordinate.
 var formatEdges = []float64{
+	1 << 49, math.Nextafter(1<<49, 0), 1024, math.Nextafter(1024, 0), 0x1p-19, 0x1p-10,
 	1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1.5e-6, 1.23456789012345e-6,
 	999999999999999, 99999999999999.9, math.Nextafter(1e15, 0), 1e15, 1e21, 1e20,
 	123456789012345, 1234567890123456, 0.123456789012345, 0.1234567890123456,
@@ -283,5 +284,28 @@ func TestAppendSnapshotUnsupported(t *testing.T) {
 	WriteSnapshot(rec, &r, func(err error) { reported = err })
 	if reported == nil || rec.Body.Len() != 0 {
 		t.Fatalf("WriteSnapshot wrote %q and reported %v", rec.Body.Bytes(), reported)
+	}
+}
+
+// TestWriteSnapshot: WriteSnapshot writes json.NewEncoder's bytes for
+// replies that fit the pooled buffer and for ones that outgrow it, past
+// maxPooledBody too, and for a small reply after a large one.
+func TestWriteSnapshot(t *testing.T) {
+	large := make([]divmax.Vector, 20000)
+	for i := range large {
+		large[i] = divmax.Vector{float64(i) / 3, -float64(i), 1e-4 * float64(i), 0, 1, 2, 3, 4}
+	}
+	for _, n := range []int{0, 10, len(large), 10} {
+		r := SnapshotResponse{Partial: n > 0, Points: large[:n], Processed: int64(n), Shards: 1,
+			Cursor: SnapshotCursor{Gens: []uint64{uint64(n)}, Poss: []int{n}}}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&r); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		WriteSnapshot(rec, &r, func(err error) { t.Fatal(err) })
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%d points: WriteSnapshot wrote %d bytes (%q), json.Encoder %d", n, rec.Body.Len(), rec.Header().Get("Content-Type"), want.Len())
+		}
 	}
 }
