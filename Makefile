@@ -19,7 +19,7 @@ race:
 # streaming fold's covering exit against the generic scan, the blocked
 # distance kernels against the generic ones, the batch decoder and
 # encoder and the snapshot codec against encoding/json, and JL-projected
-# selection quality. (FuzzTornTail runs in the durability job.) make
+# selection quality. (FuzzTornTail runs in `make durability`.) make
 # stops a recipe at its first failing line, so FuzzJLSelectionQuality,
 # which fails on streams with fewer distinct points than k (see
 # CHANGES.md), runs last, after every other target has had its 20 s.
@@ -53,9 +53,12 @@ cluster-chaos:
 
 # The crash-recovery paths with the strictest fsync policy forced onto
 # every WAL, so the durability contract is exercised with a real fsync
-# per record, not just the test default.
+# per record, not just the test default; then 20 s of fuzzing over torn
+# WAL tails (arbitrary truncation and byte damage must never panic
+# recovery and must keep every record before the damage).
 durability:
 	DIVMAX_TEST_FSYNC=always $(GO) test -race -timeout 120s -run 'Durable|Graceful|AbruptClose|CheckpointTicker|CloseTimeout|Crash|Corrupt' ./internal/server ./internal/faults
+	$(GO) test -run 'Fuzz' -fuzz=FuzzTornTail -fuzztime=20s ./internal/wal
 
 # The envelope-equivalence harness that pins the blocked kernel tier:
 # blocked-vs-generic distances within the documented error bound (bit-
@@ -87,10 +90,10 @@ bench-smoke:
 
 # Regenerate the performance trajectory (BENCH_PR10.json): GMM fast vs
 # pre-PR-2 generic (plus the blocked-tier high-dimensional rows vs the
-# four-lane scalar kernel on clustered data), SMM ingest, end-to-end
-# divmaxd throughput, the round-2 solve path (matrix vs generic),
-# cached vs cold /query, the sharded/tiled solve-parallel worker sweep
-# (now with d ∈ {128, 512} rows through the blocked fill), the
+# four-lane scalar kernel on clustered data), SMM ingest, the round-2
+# solve path (matrix-mode engine vs generic), cached vs cold /query,
+# the sharded/tiled solve-parallel worker sweep (now with
+# d ∈ {128, 512} rows through the blocked fill), the
 # incremental_ingest churn suite (delta-patched cache vs forced full
 # rebuilds), the dynamic_churn insert/delete/query interleave over the
 # /v1 API at d ∈ {8, 128, 512}, the overload write-storm (load shedding

@@ -20,16 +20,11 @@
 //     n = 100k, d = 128 row is the PR 10 acceptance gate (>= 2x).
 //   - smm_ingest: streaming SMM core-set ingestion (k = 16, k′ = 64),
 //     batched fast path versus the same pre-PR-2 generic baseline.
-//   - divmaxd: end-to-end service throughput over HTTP — JSON ingest
-//     into sharded streaming core-sets, then merge+solve queries. Since
-//     PR 3 the repeated queries hit the service's snapshot cache, so
-//     the reported minima are cached-path latencies; the query_cache
-//     suite reports the cold/cached split explicitly.
 //   - solve: the round-2 solvers on merged-core-set-sized unions —
-//     MaxDispersionPairs, LocalSearchClique, and SolveCoresets —
-//     matrix-indexed (including the parallel matrix fill) versus the
-//     generic callback path, which a wrapper around metric.Euclidean
-//     keeps on the pre-PR-3 code.
+//     MaxDispersionPairs, LocalSearchClique, and SolveCoresets — on a
+//     matrix-mode solve engine (including its parallel matrix fill)
+//     versus the generic callback path, which a wrapper around
+//     metric.Euclidean keeps on the pre-PR-3 code.
 //   - query_cache: divmaxd /query against an unchanged stream — the
 //     first query after an ingest (cold: snapshot + merge + matrix
 //     fill + solve) versus a repeated one (cached).
@@ -152,26 +147,14 @@ type smmCase struct {
 	FastPtsS  float64 `json:"fast_points_per_sec"`
 }
 
-type serverCase struct {
-	N            int     `json:"n"`
-	Dim          int     `json:"dim"`
-	Shards       int     `json:"shards"`
-	Batch        int     `json:"batch"`
-	IngestMS     float64 `json:"ingest_ms"`
-	IngestPtsS   float64 `json:"ingest_points_per_sec"`
-	QueryEdgeMS  float64 `json:"query_ms_remote_edge"`
-	QueryCliqMS  float64 `json:"query_ms_remote_clique"`
-	CoresetAfter int     `json:"coreset_size_remote_edge"`
-}
-
 type solveCase struct {
 	Algo string `json:"algo"`
 	N    int    `json:"n"`
 	Dim  int    `json:"dim"`
 	K    int    `json:"k"`
-	// FillMS is the one-time parallel matrix fill; MatrixMS is the
-	// matrix-indexed solver against the built matrix — the steady-state
-	// cost once the fill is amortized (divmaxd's snapshot cache) or run
+	// FillMS is the one-time engine build (its parallel matrix fill);
+	// MatrixMS is the solver on the built engine — the steady-state
+	// cost once the fill is amortized (divmaxd's merge cache) or run
 	// wide across cores. Speedup compares MatrixMS to GenericMS;
 	// ColdSpeedup charges the fill to a single one-shot solve
 	// (fill+solve vs generic), the worst case for the matrix path.
@@ -365,7 +348,6 @@ type report struct {
 	GMMReps       int                      `json:"gmm_reps"` // the cheap GMM cells run 3× the base reps
 	GMM           []gmmCase                `json:"gmm"`
 	SMM           []smmCase                `json:"smm_ingest"`
-	Divmaxd       []serverCase             `json:"divmaxd"`
 	Solve         []solveCase              `json:"solve"`
 	QueryCache    []queryCacheCase         `json:"query_cache"`
 	SolveParallel []solveParallelCase      `json:"solve_parallel"`
@@ -650,94 +632,37 @@ func main() {
 		}
 	}
 
-	// Suite 3: divmaxd end-to-end over HTTP.
+	// Points per request of the HTTP suites' bulk ingests.
 	const ingestBatch = 2000
-	for _, n := range sizes {
-		for _, dim := range dims {
-			rng := rand.New(rand.NewSource(int64(3*n + dim)))
-			pts := randomVectors(rng, n, dim)
-			bodies := make([][]byte, 0, (n+ingestBatch-1)/ingestBatch)
-			for lo := 0; lo < n; lo += ingestBatch {
-				hi := min(lo+ingestBatch, n)
-				body, err := json.Marshal(api.IngestRequest{Points: pts[lo:hi]})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "bench:", err)
-					os.Exit(1)
-				}
-				bodies = append(bodies, body)
-			}
-			srv, err := server.New(server.Config{Shards: 4, MaxK: 16})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			c := bclient(ts, cluster.ClientConfig{})
-			ingest := minTime(1, func() {
-				for _, body := range bodies {
-					if _, err := c.IngestBody(ctx, body); err != nil {
-						fmt.Fprintln(os.Stderr, "bench: ingest failed:", err)
-						os.Exit(1)
-					}
-				}
-			})
-			var edgeSize int
-			query := func(measure string) float64 {
-				best := minTime(*reps, func() {
-					qr, err := c.Query(ctx, measure, 16)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "bench: query failed:", err)
-						os.Exit(1)
-					}
-					if measure == "remote-edge" {
-						edgeSize = qr.CoresetSize
-					}
-				})
-				return ms(best)
-			}
-			edgeMS := query("remote-edge")
-			cliqueMS := query("remote-clique")
-			ts.Close()
-			srv.Close()
-			rep.Divmaxd = append(rep.Divmaxd, serverCase{
-				N: n, Dim: dim, Shards: 4, Batch: ingestBatch,
-				IngestMS:     ms(ingest),
-				IngestPtsS:   float64(n) / ingest.Seconds(),
-				QueryEdgeMS:  edgeMS,
-				QueryCliqMS:  cliqueMS,
-				CoresetAfter: edgeSize,
-			})
-			fmt.Printf("divmaxd n=%-7d d=%-3d ingest %8.2fms (%.0f pts/s)  query edge %6.2fms clique %6.2fms\n",
-				n, dim, ms(ingest), float64(n)/ingest.Seconds(), edgeMS, cliqueMS)
-		}
-	}
 
-	// Suite 4: the round-2 solvers on merged-core-set-sized unions,
-	// matrix-indexed versus the generic callback path, which a wrapper
-	// around metric.Euclidean keeps on the pre-PR-3 code. The matrix
-	// contenders drive the explicit entry points (the code the divmaxd
-	// cache and mrdiv.SolveCoresets run), with the one-time fill timed
-	// separately from the solver it feeds. d = 8 matches the acceptance
-	// gate.
+	// Suite 3: the round-2 solvers on merged-core-set-sized unions, on
+	// a matrix-mode solve engine versus the generic callback path, which
+	// a wrapper around metric.Euclidean keeps on the pre-PR-3 code. The
+	// engine contenders run the engine the divmaxd cache and
+	// mrdiv.SolveCoresets build, with the one-time build timed
+	// separately from the solver it feeds. No union exceeds 4096 points,
+	// exactly the default MatrixBudget, so every engine holds a matrix.
+	// d = 8 matches the acceptance gate.
 	generic3 := metric.Distance[metric.Vector](genericEuclid)
 	const solveDim, solveK = 8, 16
 	solveBench := func(algo string, pts []metric.Vector, k int,
-		matrixSolve func(dm *metric.DistMatrix) []metric.Vector,
+		engineSolve func(e *sequential.Engine) []metric.Vector,
 		genericSolve func() []metric.Vector) {
-		dm := sequential.BuildMatrix(pts, metric.Euclidean, 0)
-		if dm == nil {
-			fmt.Fprintf(os.Stderr, "bench: %s: BuildMatrix rejected the input\n", algo)
+		e := sequential.BuildEngine(pts, metric.Euclidean, 0)
+		if e == nil || e.Tiled() {
+			fmt.Fprintf(os.Stderr, "bench: %s: no matrix-mode engine for n=%d\n", algo, len(pts))
 			os.Exit(1)
 		}
-		mustEqualSolutions(algo, matrixSolve(dm), genericSolve())
-		// Flush garbage from earlier suites (the divmaxd run leaves ~100MB
-		// of JSON bodies behind): on one core a major GC landing inside
-		// the first timed fill would otherwise dominate it.
+		mustEqualSolutions(algo, engineSolve(e), genericSolve())
+		// Flush garbage from earlier suites (the GMM and SMM rows leave
+		// their point sets behind, ~100MB for the 100k-point d=128 row):
+		// on one core a major GC landing inside the first timed fill
+		// would otherwise dominate it.
 		runtime.GC()
-		fill := minTime(*reps, func() { sequential.BuildMatrix(pts, metric.Euclidean, 0) })
+		fill := minTime(*reps, func() { sequential.BuildEngine(pts, metric.Euclidean, 0) })
 		runtime.GC()
 		mat, gen := minTime2(*reps,
-			func() { matrixSolve(dm) },
+			func() { engineSolve(e) },
 			func() { genericSolve() })
 		rep.Solve = append(rep.Solve, solveCase{
 			Algo: algo, N: len(pts), Dim: solveDim, K: k,
@@ -753,8 +678,8 @@ func main() {
 		rng := rand.New(rand.NewSource(101))
 		pts := randomVectors(rng, 4096, solveDim)
 		solveBench("max_dispersion_pairs", pts, solveK,
-			func(dm *metric.DistMatrix) []metric.Vector {
-				return sequential.MaxDispersionPairsMatrix(pts, dm, solveK)
+			func(e *sequential.Engine) []metric.Vector {
+				return sequential.MaxDispersionPairsEngine(pts, e, solveK)
 			},
 			func() []metric.Vector { return sequential.MaxDispersionPairs(pts, solveK, generic3) })
 	}
@@ -763,8 +688,8 @@ func main() {
 		pts := randomVectors(rng, 2048, solveDim)
 		const lsK, lsSweeps = 24, 16
 		solveBench("local_search_clique", pts, lsK,
-			func(dm *metric.DistMatrix) []metric.Vector {
-				return sequential.LocalSearchCliqueMatrix(pts, dm, lsK, lsSweeps)
+			func(e *sequential.Engine) []metric.Vector {
+				return sequential.LocalSearchCliqueEngine(pts, e, lsK, lsSweeps)
 			},
 			func() []metric.Vector { return sequential.LocalSearchClique(pts, lsK, lsSweeps, generic3) })
 	}
@@ -780,8 +705,8 @@ func main() {
 			union = append(union, cores[i]...)
 		}
 		solveBench("solve_coresets", union, solveK,
-			func(dm *metric.DistMatrix) []metric.Vector {
-				return sequential.SolveMatrix(divmax.RemoteClique, union, dm, solveK)
+			func(e *sequential.Engine) []metric.Vector {
+				return sequential.SolveEngine(divmax.RemoteClique, union, e, solveK)
 			},
 			func() []metric.Vector {
 				sol, err := divmax.MapReduceSolveCoresets(divmax.RemoteClique, cores, solveK, divmax.MRConfig{}, generic3)
@@ -793,7 +718,7 @@ func main() {
 			})
 	}
 
-	// Suite 5: /query against an unchanged stream, cold (first query
+	// Suite 4: /query against an unchanged stream, cold (first query
 	// after an ingest: snapshot + merge + matrix fill + solve) versus
 	// cached (every later one). A one-point ingest before each cold rep
 	// invalidates the cache without meaningfully changing the stream.
@@ -862,7 +787,7 @@ func main() {
 			n, dim, size, ms(cold), ms(cached), float64(cold)/float64(cached))
 	}
 
-	// Suite 6: the sharded O(n²) farthest-partner scan across a worker
+	// Suite 5: the sharded O(n²) farthest-partner scan across a worker
 	// sweep. n = 4096 sits exactly at the matrix budget, so the engine
 	// solves against a prebuilt matrix (the fill is excluded, as in the
 	// divmaxd cache's steady state); larger n is past it — so the engine
@@ -945,7 +870,7 @@ func main() {
 		}
 	}
 
-	// Suite 7: incremental_ingest — ingest-then-query churn against a
+	// Suite 6: incremental_ingest — ingest-then-query churn against a
 	// live service, delta-patched cache versus forced full rebuilds.
 	// Each round is one small /ingest followed by one remote-clique
 	// /query; both servers see the identical stream. The SMM-EXT union
@@ -1050,7 +975,7 @@ func main() {
 			patchedStats.DeltaPatches)
 	}
 
-	// Suite 8: dynamic_churn — insert/delete/query interleave against the
+	// Suite 7: dynamic_churn — insert/delete/query interleave against the
 	// typed /v1 API. The deletes target random earlier stream values:
 	// with k′ = 64 almost everything in the stream is absorbed, so the
 	// churn is tombstone-dominated and the patched server must keep
@@ -1164,7 +1089,7 @@ func main() {
 			patchedStats.MemoWarmStarts)
 	}
 
-	// Suite 9: overload — the PR 7 load-shedding trade-off, measured.
+	// Suite 8: overload — the PR 7 load-shedding trade-off, measured.
 	// Concurrent writers blast ingest batches at a single shard whose
 	// every fold is slowed through the fault injector, so the tiny
 	// queue is full for the whole storm. With shedding on, a request
@@ -1276,7 +1201,7 @@ func main() {
 			blockAcc, ms(blockMax), ms(blockAvg))
 	}
 
-	// Suite 10: durability — the WAL's ingest overhead at each fsync
+	// Suite 9: durability — the WAL's ingest overhead at each fsync
 	// policy against the in-memory server, then recovery time: a cleanly
 	// closed directory (checkpoint restore, zero replay) versus an
 	// abruptly closed one with checkpoints disabled (every record
@@ -1434,7 +1359,7 @@ func main() {
 		}
 	}
 
-	// Suite 11: cluster — the multi-node coordinator tier end to end, on
+	// Suite 10: cluster — the multi-node coordinator tier end to end, on
 	// the in-process harness the chaos tests run on: three real workers
 	// behind loopback HTTP, fronted by the coordinator. One bulk ingest
 	// through the consistent-hash ring, then churn rounds of a one-point

@@ -15,8 +15,9 @@ import (
 // once — in parallel, on the canonical four-lane kernel — turns them
 // from distance-bound to memory-bound. Because every entry is the
 // canonical four-lane square (kernel.go), math.Sqrt of an entry is
-// bit-identical to Euclidean on the same rows, and solvers driven by
-// At make exactly the same comparisons as the generic callback path.
+// bit-identical to Euclidean on the same rows, and solvers that take
+// that root make exactly the same comparisons as the generic callback
+// path.
 //
 // A DistMatrix is immutable after NewDistMatrix returns and safe for
 // concurrent reads, which is what lets the divmaxd query cache share
@@ -463,11 +464,6 @@ func (m *DistMatrix) Bytes() int64 { return int64(len(m.sq)) * 8 }
 // SqAt returns the squared distance between points i and j,
 // bit-identical to SquaredEuclidean on the underlying rows.
 func (m *DistMatrix) SqAt(i, j int) float64 { return m.sq[i*m.stride+j] }
-
-// At returns the distance between points i and j, bit-identical to
-// Euclidean on the underlying rows (one load and one correctly-rounded
-// square root).
-func (m *DistMatrix) At(i, j int) float64 { return math.Sqrt(m.sq[i*m.stride+j]) }
 
 // SqRow returns row i of the matrix as a slice view: SqRow(i)[j] is the
 // squared distance between points i and j. Solver inner loops scan rows

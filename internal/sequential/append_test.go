@@ -223,8 +223,7 @@ func TestEngineForkIsolation(t *testing.T) {
 	sameSolution(t, "original-after-fork", after, before)
 }
 
-// TestAppendEngineRejects: the gates — engines without a flat store
-// (explicit-matrix entry points), dimension mismatches, non-vector
+// TestAppendEngineRejects: the gates — dimension mismatches, non-vector
 // points — must report false and leave the engine unchanged.
 func TestAppendEngineRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -249,18 +248,4 @@ func TestAppendEngineRejects(t *testing.T) {
 	if AppendEngine(e, []alias{{1}}) {
 		t.Fatal("AppendEngine accepted non-vector points")
 	}
-	me := engineFromMatrix(metric.NewDistMatrix(mustFlat(all), 1), 1)
-	if me.Append(all[:1]) {
-		t.Fatal("Append accepted an engine without a flat store")
-	}
-}
-
-// mustFlat builds a flat store from vectors, failing the test on ragged
-// input.
-func mustFlat(vs []metric.Vector) *metric.Points {
-	p, ok := metric.FlattenVectors(vs)
-	if !ok {
-		panic("ragged test vectors")
-	}
-	return &p
 }

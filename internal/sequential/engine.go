@@ -52,16 +52,12 @@ import (
 //     per-pair kernel values either way (canonical four-lane squares
 //     below metric.BlockedMinDim, position-independent blocked-tier
 //     values at and above it), so tiled solves select bit-identically
-//     to matrix solves. Below the blocked threshold those entries are
-//     also bit-identical to the generic callback path (matrix.go); at
-//     and above it the values agree within the documented envelope and
-//     the SELECTIONS stay identical — pinned by the envelope harness in
-//     internal/metric.
-//
-// Before the engine, AutoMatrix refused to build past 4096 points and
-// large unions silently fell back to the per-pair callback path; now
-// the cap is a memory budget, and unions past it stay on the fast
-// kernels through tiled mode.
+//     to matrix solves. Below the blocked threshold math.Sqrt of an
+//     entry is also bit-identical to metric.Euclidean on the same rows,
+//     so the solvers make exactly the comparisons and sums of the
+//     generic callback path; at and above it the values agree within
+//     the documented envelope and the SELECTIONS stay identical —
+//     pinned by the envelope harness in internal/metric.
 
 // MatrixBudget is the memory budget, in bytes, for automatically
 // materialized full distance matrices: a point set with 8·n² above it
@@ -131,9 +127,8 @@ func BuildEngine[P any](pts []P, d metric.Distance[P], workers int) *Engine {
 // BuildEngine(pts, d, workers), mode included — past MatrixBudget it is
 // tiled — so every solve on it is too. It is the merge cache's rebuild:
 // a rebuilt union is mostly the previous one laid out again. It builds
-// from scratch when prev is nil, tiled, has no flat store or is of
-// another dimension. prev is only read, so solves on it may run
-// concurrently.
+// from scratch when prev is nil, tiled or of another dimension. prev is
+// only read, so solves on it may run concurrently.
 func RebuildEngine[P any](prev *Engine, pts []P, d metric.Distance[P], workers int) *Engine {
 	return RebuildEngineReusing(prev, nil, pts, d, workers)
 }
@@ -157,7 +152,7 @@ func RebuildEngineReusing[P any](prev, spare *Engine, pts []P, d metric.Distance
 // buildEngineVectors is BuildEngine after the distance and point-type
 // checks (the matroid solver reaches it from []Grouped[metric.Vector]),
 // remapping prev's matrix, into spare's buffer when it may, when prev
-// is a matrix-mode engine over a flat store of the same dimension.
+// is a matrix-mode engine of the same dimension.
 func buildEngineVectors(vecs []metric.Vector, prev, spare *Engine, workers int) *Engine {
 	if len(vecs) < 2 {
 		return nil
@@ -170,7 +165,7 @@ func buildEngineVectors(vecs []metric.Vector, prev, spare *Engine, workers int) 
 	if int64(e.n)*int64(e.n)*8 > MatrixBudget {
 		return e
 	}
-	if prev != nil && prev.dm != nil && prev.flat.Len() == prev.n && prev.flat.Dim() == flat.Dim() {
+	if prev != nil && prev.dm != nil && prev.flat.Dim() == flat.Dim() {
 		var buf *metric.DistMatrix
 		if spare != nil {
 			buf = spare.dm
@@ -205,15 +200,11 @@ func (e *Engine) Fork() *Engine {
 // points. An append that pushes 8·n² past MatrixBudget drops
 // the matrix and crosses into tiled mode, exactly where BuildEngine
 // would have started tiled. It reports false — leaving the engine
-// unchanged — when the engine has no flat store to grow (built by
-// SolveMatrix's explicit-matrix entry points) or a row's dimension
-// disagrees with the store's; callers then rebuild from scratch.
+// unchanged — when a row's dimension disagrees with the store's;
+// callers then rebuild from scratch.
 func (e *Engine) Append(vecs []metric.Vector) bool {
 	if len(vecs) == 0 {
 		return true
-	}
-	if e.flat.Len() != e.n || e.flat.Dim() == 0 {
-		return false
 	}
 	for _, v := range vecs {
 		if len(v) != e.flat.Dim() {
@@ -251,12 +242,22 @@ func AppendEngine[P any](e *Engine, pts []P) bool {
 	return e.Append(vecs)
 }
 
+// autoMatrixSolve gates the solvers' internal dispatch to the engine.
+// A one-shot solve does the same Θ(n²) pair work either way, so the
+// engine only beats the callback path when its fills and scans run
+// wider than one core; on a single core the fill is pure added latency.
+// Callers that skip the gate are unaffected: when the fill is amortized
+// across queries (the divmaxd merge cache, internal/merge, calls
+// BuildEngine and RebuildEngine directly), the engine path wins
+// regardless of core count. A variable so tests can force both paths
+// on any machine.
+var autoMatrixSolve = runtime.NumCPU() > 1
+
 // AutoEngine is BuildEngine behind the autoMatrixSolve gate: it builds
 // only when a one-shot engine solve is expected to beat the callback
-// path (see the gate's rationale in matrix.go). It is the entry point
-// of the solvers' internal dispatch and of mrdiv.SolveCoresets; callers
-// that amortize the build across several solves (the divmaxd merge
-// cache) use BuildEngine directly.
+// path. It is the entry point of the solvers' internal dispatch and of
+// mrdiv.SolveCoresets; callers that amortize the build across several
+// solves (the divmaxd merge cache) use BuildEngine directly.
 func AutoEngine[P any](pts []P, d metric.Distance[P], workers int) *Engine {
 	if !autoMatrixSolve {
 		return nil
@@ -264,11 +265,14 @@ func AutoEngine[P any](pts []P, d metric.Distance[P], workers int) *Engine {
 	return BuildEngine(pts, d, workers)
 }
 
-// engineFromMatrix wraps a prebuilt matrix for the explicit-matrix
-// entry points (SolveMatrix and friends). Matrix mode only: with the
-// matrix in hand there is nothing to tile.
-func engineFromMatrix(dm *metric.DistMatrix, workers int) *Engine {
-	return &Engine{n: dm.Len(), dm: dm, workers: resolveWorkers(workers)}
+// maxBudgetPoints returns the largest point count whose full matrix
+// (8·n² bytes) fits MatrixBudget — the matrix/tiled mode boundary.
+func maxBudgetPoints() int {
+	n := int(math.Sqrt(float64(MatrixBudget) / 8))
+	for int64(n)*int64(n)*8 > MatrixBudget && n > 0 {
+		n--
+	}
+	return n
 }
 
 // Len returns the number of points the engine was built over.

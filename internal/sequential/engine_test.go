@@ -103,14 +103,6 @@ func TestEngineDispatchAndModes(t *testing.T) {
 	if w2 := e.WithWorkers(5); w2.Workers() != 5 || w2.Matrix() != e.Matrix() || w2.Len() != e.Len() {
 		t.Fatal("WithWorkers did not share the underlying engine state")
 	}
-	forceAutoMatrix(t, false)
-	if AutoEngine(pts, metric.Euclidean, 0) != nil {
-		t.Fatal("AutoEngine built despite the dispatch gate being off")
-	}
-	forceAutoMatrix(t, true)
-	if AutoEngine(pts, metric.Euclidean, 0) == nil {
-		t.Fatal("AutoEngine did not build with the dispatch gate on")
-	}
 }
 
 // TestMaxDispersionPairsEngineMatchesGeneric is the tentpole
@@ -165,7 +157,7 @@ func TestLocalSearchCliqueEngineMatchesGeneric(t *testing.T) {
 // fast path for every measure in both modes — the contract the divmaxd
 // query cache relies on when it retains an engine across queries.
 func TestSolveEngineMatchesSolve(t *testing.T) {
-	forceAutoMatrix(t, true)
+	forceAutoEngine(t, true)
 	forceShardMinima(t)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -203,9 +195,9 @@ func TestMatroidEngineMatchesGeneric(t *testing.T) {
 			limits[g] = 1 + rng.Intn(4)
 		}
 		k := 2 + rng.Intn(4)
-		forceAutoMatrix(t, false)
+		forceAutoEngine(t, false)
 		want, wantErr := MaxDispersionPartitionMatroid(pts, limits, k, metric.Euclidean)
-		forceAutoMatrix(t, true)
+		forceAutoEngine(t, true)
 		for _, budget := range []int64{MatrixBudget, 8} {
 			forceMatrixBudget(t, budget)
 			got, gotErr := MaxDispersionPartitionMatroid(pts, limits, k, metric.Euclidean)
@@ -301,7 +293,8 @@ func TestConcurrentEngineSolves(t *testing.T) {
 }
 
 // TestEngineValidation pins the panic contract of the engine entry
-// points (mirroring TestSolveMatrixValidation).
+// points that return points (TestSolveMatrixValidation pins
+// SolveEngineIdx's).
 func TestEngineValidation(t *testing.T) {
 	pts := randomVectors(rand.New(rand.NewSource(2)), 10, 2)
 	e := BuildEngine(pts, metric.Euclidean, 1)
@@ -376,7 +369,7 @@ func FuzzEngineParallelTiledEquivalence(f *testing.F) {
 // forced below the input, MaxDispersionPairs must still match the
 // generic scan (it is now running tiled underneath).
 func TestSolveDispatchesTiledPastBudget(t *testing.T) {
-	forceAutoMatrix(t, true)
+	forceAutoEngine(t, true)
 	forceMatrixBudget(t, 8)
 	forceShardMinima(t)
 	rng := rand.New(rand.NewSource(17))

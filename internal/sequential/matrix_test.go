@@ -56,63 +56,56 @@ func testVectors(rng *rand.Rand, seed int64, n, dim int) []metric.Vector {
 	return tieHeavyVectors(rng, n, dim)
 }
 
-// forceAutoMatrix pins the solvers' internal matrix dispatch on or off
-// for the duration of a test, so the equivalence suites exercise the
-// matrix path regardless of the machine's core count (the gate defaults
-// to off on single-core machines).
-func forceAutoMatrix(t testing.TB, on bool) {
+// forceAutoEngine pins the solvers' internal engine dispatch (the
+// autoMatrixSolve gate in front of AutoEngine) on or off for the
+// duration of a test, so the equivalence suites exercise the engine
+// path regardless of the machine's core count (the gate defaults to off
+// on single-core machines).
+func forceAutoEngine(t testing.TB, on bool) {
 	t.Helper()
 	orig := autoMatrixSolve
 	autoMatrixSolve = on
 	t.Cleanup(func() { autoMatrixSolve = orig })
 }
 
-// TestMatrixFastPathDispatches pins that Euclidean-over-Vector actually
-// builds a matrix (a regression here would silently turn the fast path
-// off and only show up in benchmarks), and that wrappers, other metrics,
-// ragged rows, singletons, and over-cap inputs keep the generic path.
+// TestMatrixFastPathDispatches pins the two switches in front of the
+// engine's matrix mode: maxBudgetPoints, the largest union whose 8·n²
+// matrix fits MatrixBudget (Append clamps a grown matrix's stride to
+// it), exactly at a budget and one byte under it; and the gate
+// AutoEngine reads (a regression here would silently turn the solvers'
+// fast path off and only show up in benchmarks).
 func TestMatrixFastPathDispatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomVectors(rng, 50, 3)
-	if BuildMatrix(pts, metric.Euclidean, 0) == nil {
-		t.Fatal("BuildMatrix rejected Euclidean over Vector")
+	if got := maxBudgetPoints(); got != 4096 {
+		t.Fatalf("maxBudgetPoints() at the default budget = %d, want 4096", got)
 	}
-	if BuildMatrix(pts, metric.Distance[metric.Vector](genericEuclid), 0) != nil {
-		t.Fatal("BuildMatrix accepted a wrapper distance")
+	forceMatrixBudget(t, 50*50*8)
+	if got := maxBudgetPoints(); got != 50 {
+		t.Fatalf("maxBudgetPoints() at 50·50·8 bytes = %d, want 50", got)
 	}
-	if BuildMatrix(pts, metric.Manhattan, 0) != nil {
-		t.Fatal("BuildMatrix accepted Manhattan")
+	forceMatrixBudget(t, 50*50*8-1)
+	if got := maxBudgetPoints(); got != 49 {
+		t.Fatalf("maxBudgetPoints() one byte under 50·50·8 = %d, want 49", got)
 	}
-	if BuildMatrix([]metric.Vector{{1, 2}, {3}}, metric.Euclidean, 0) != nil {
-		t.Fatal("BuildMatrix accepted ragged input")
+	pts := randomVectors(rand.New(rand.NewSource(1)), 50, 3)
+	forceAutoEngine(t, false)
+	if AutoEngine(pts, metric.Euclidean, 0) != nil {
+		t.Fatal("AutoEngine built despite the dispatch gate being off")
 	}
-	if BuildMatrix(pts[:1], metric.Euclidean, 0) != nil {
-		t.Fatal("BuildMatrix accepted a singleton (nothing to materialize)")
-	}
-	if buildMatrixCapped(pts, metric.Euclidean, 0, 49) != nil {
-		t.Fatal("BuildMatrix exceeded the point cap")
-	}
-	if dm := buildMatrixCapped(pts, metric.Euclidean, 0, 50); dm == nil || dm.Len() != 50 {
-		t.Fatal("BuildMatrix rejected an input at the point cap")
-	}
-	forceAutoMatrix(t, false)
-	if AutoMatrix(pts, metric.Euclidean, 0) != nil {
-		t.Fatal("AutoMatrix built despite the dispatch gate being off")
-	}
-	forceAutoMatrix(t, true)
-	if AutoMatrix(pts, metric.Euclidean, 0) == nil {
-		t.Fatal("AutoMatrix did not build with the dispatch gate on")
+	forceAutoEngine(t, true)
+	if AutoEngine(pts, metric.Euclidean, 0) == nil {
+		t.Fatal("AutoEngine did not build with the dispatch gate on")
 	}
 }
 
-// TestMaxDispersionPairsMatrixMatchesGeneric is the tentpole equivalence
-// test for the remote-clique solver: across seeds, dimensions, sizes,
-// and k (odd, even, and above n), the matrix-indexed path returns
-// bit-identical solutions — including on tie-heavy inputs. It pins both
-// the internal dispatch (MaxDispersionPairs with metric.Euclidean) and
-// the explicit-matrix entry point.
+// TestMaxDispersionPairsMatrixMatchesGeneric is the equivalence test of
+// the remote-clique solver's internal dispatch: across seeds,
+// dimensions, sizes, and k (odd, even, and above n), MaxDispersionPairs
+// with metric.Euclidean returns bit-identical solutions to the generic
+// callback path — including on tie-heavy inputs.
+// TestMaxDispersionPairsEngineMatchesGeneric covers the engine entry
+// point on the same grid.
 func TestMaxDispersionPairsMatrixMatchesGeneric(t *testing.T) {
-	forceAutoMatrix(t, true)
+	forceAutoEngine(t, true)
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, dim := range []int{1, 2, 3, 4, 8} {
@@ -122,19 +115,17 @@ func TestMaxDispersionPairsMatrixMatchesGeneric(t *testing.T) {
 				fast := MaxDispersionPairs(pts, k, metric.Euclidean)
 				slow := MaxDispersionPairs(pts, k, metric.Distance[metric.Vector](genericEuclid))
 				sameSolution(t, "MaxDispersionPairs", fast, slow)
-				explicit := MaxDispersionPairsMatrix(pts, BuildMatrix(pts, metric.Euclidean, 0), k)
-				sameSolution(t, "MaxDispersionPairsMatrix", explicit, slow)
 			}
 		}
 	}
 }
 
-// TestLocalSearchCliqueMatrixMatchesGeneric: every sweep of the
-// matrix-indexed local search must apply the same exchange as the
-// generic path, so the final solutions agree bit for bit across sweep
-// budgets (including unbounded).
+// TestLocalSearchCliqueMatrixMatchesGeneric: every sweep of the local
+// search behind the internal dispatch must apply the same exchange as
+// the generic path, so the final solutions agree bit for bit across
+// sweep budgets (including unbounded).
 func TestLocalSearchCliqueMatrixMatchesGeneric(t *testing.T) {
-	forceAutoMatrix(t, true)
+	forceAutoEngine(t, true)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, n := range []int{2, 9, 40, 120} {
@@ -145,34 +136,25 @@ func TestLocalSearchCliqueMatrixMatchesGeneric(t *testing.T) {
 				slow := LocalSearchClique(pts, k, sweeps, metric.Distance[metric.Vector](genericEuclid))
 				sameSolution(t, "LocalSearchClique", fast, slow)
 			}
-			if k <= n {
-				explicit := LocalSearchCliqueMatrix(pts, BuildMatrix(pts, metric.Euclidean, 0), k, 3)
-				slow := LocalSearchClique(pts, k, 3, metric.Distance[metric.Vector](genericEuclid))
-				sameSolution(t, "LocalSearchCliqueMatrix", explicit, slow)
-			}
 		}
 	}
 }
 
-// TestSolveMatrixMatchesSolve: SolveMatrix over a prebuilt matrix must
-// agree with Solve's own fast path for every measure — the contract the
-// divmaxd query cache relies on when it reuses one matrix across
-// queries.
+// TestSolveMatrixMatchesSolve: SolveEngineIdx, the index form the
+// divmaxd merge cache serves and memoizes, must pick exactly the points
+// SolveEngine returns, for every measure in both engine modes.
 func TestSolveMatrixMatchesSolve(t *testing.T) {
-	forceAutoMatrix(t, true)
+	forceShardMinima(t)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 30 + rng.Intn(90)
 		pts := testVectors(rng, seed, n, 2+int(seed%3))
-		dm := BuildMatrix(pts, metric.Euclidean, 0)
-		if dm == nil {
-			t.Fatal("BuildMatrix rejected Euclidean over Vector")
-		}
 		k := 1 + rng.Intn(12)
 		for _, m := range diversity.Measures {
-			viaMatrix := SolveMatrix(m, pts, dm, k)
-			direct := Solve(m, pts, k, metric.Euclidean)
-			sameSolution(t, "SolveMatrix/"+m.String(), viaMatrix, direct)
+			for mode, e := range engineModes(t, pts) {
+				sameSolution(t, "SolveEngineIdx/"+m.String()+"/"+mode,
+					pick(pts, SolveEngineIdx(m, e, k)), SolveEngine(m, pts, e, k))
+			}
 		}
 	}
 }
@@ -183,7 +165,7 @@ func TestSolveMatrixMatchesSolve(t *testing.T) {
 // it matches the generic traversal exactly as the flat-kernel
 // equivalence tests in internal/coreset pin.)
 func TestSolveFastPathMatchesGeneric(t *testing.T) {
-	forceAutoMatrix(t, true)
+	forceAutoEngine(t, true)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(100)
@@ -197,26 +179,22 @@ func TestSolveFastPathMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestSolveMatrixValidation pins SolveEngineIdx's contract: it panics
+// for k < 1 and returns nil for a nil engine.
 func TestSolveMatrixValidation(t *testing.T) {
 	pts := randomVectors(rand.New(rand.NewSource(2)), 10, 2)
-	dm := BuildMatrix(pts, metric.Euclidean, 0)
-	if got := SolveMatrix(diversity.RemoteClique, []metric.Vector{}, dm, 3); got != nil {
-		t.Errorf("SolveMatrix on empty input = %v, want nil", got)
+	e := BuildEngine(pts, metric.Euclidean, 1)
+	if got := SolveEngineIdx(diversity.RemoteClique, nil, 3); got != nil {
+		t.Errorf("SolveEngineIdx on a nil engine = %v, want nil", got)
 	}
-	for _, fn := range []func(){
-		func() { SolveMatrix(diversity.RemoteClique, pts, dm, 0) },
-		func() { SolveMatrix(diversity.RemoteClique, pts[:5], dm, 2) },
-		func() { SolveMatrix(diversity.RemoteEdge, pts, nil, 2) },
-		func() { MaxDispersionPairsMatrix(pts[:5], dm, 2) },
-		func() { LocalSearchCliqueMatrix(pts[:5], dm, 2, 0) },
-	} {
+	for _, m := range []diversity.Measure{diversity.RemoteClique, diversity.RemoteEdge} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("SolveEngineIdx(%v, k=0) did not panic", m)
 				}
 			}()
-			fn()
+			SolveEngineIdx(m, e, 0)
 		}()
 	}
 }
@@ -242,7 +220,7 @@ func FuzzMaxDispersionPairsMatrixEquivalence(f *testing.F) {
 			return
 		}
 		k := 1 + int(kRaw)%8
-		forceAutoMatrix(t, true)
+		forceAutoEngine(t, true)
 		fast := MaxDispersionPairs(pts, k, metric.Euclidean)
 		slow := MaxDispersionPairs(pts, k, metric.Distance[metric.Vector](genericEuclid))
 		sameSolution(t, "MaxDispersionPairs", fast, slow)

@@ -89,9 +89,8 @@ func TestRebuildEngineMatchesBuild(t *testing.T) {
 
 // TestRebuildEngineFallbacks: where there is no matrix to remap, or the
 // new union does not get one, RebuildEngine is BuildEngine — a tiled
-// prev, a prev of another dimension, a prev without a flat store, no
-// prev, a new union past MatrixBudget, and inputs the engine does not
-// take.
+// prev, a prev of another dimension, no prev, a new union past
+// MatrixBudget, and inputs the engine does not take.
 func TestRebuildEngineFallbacks(t *testing.T) {
 	forceShardMinima(t)
 	rng := rand.New(rand.NewSource(61))
@@ -109,7 +108,6 @@ func TestRebuildEngineFallbacks(t *testing.T) {
 	}
 	check("nil prev", nil, pts)
 	check("other dimension", BuildEngine(randomVectors(rng, 40, 3), metric.Euclidean, 2), pts)
-	check("no flat store", engineFromMatrix(metric.NewDistMatrix(mustFlat(pts[:40]), 1), 1), pts)
 	check("one point", BuildEngine(pts[:40], metric.Euclidean, 2), pts[:1])
 
 	prev := BuildEngine(pts[:40], metric.Euclidean, 2)

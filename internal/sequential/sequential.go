@@ -30,7 +30,7 @@ import (
 //
 // On the Euclidean-over-Vector fast path both branches avoid per-pair
 // distance callbacks: the remote-clique branch dispatches (inside
-// MaxDispersionPairs) to the matrix-indexed solver of matrix.go, and the
+// MaxDispersionPairs) to the solve engine of engine.go, and the
 // GMM branch dispatches (inside coreset.GMM) to the flat squared-distance
 // kernel — the traversal is O(n·k) distance evaluations, so it relaxes
 // against flat rows directly rather than paying an O(n²) matrix fill.
