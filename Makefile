@@ -16,10 +16,11 @@ race:
 
 # Each fuzz target of the race job, 20 s apiece: insert/delete/query
 # interleaving, remapped engine rebuilds against fresh builds, the
-# streaming fold's covering exit against the generic scan, the blocked
-# distance kernels against the generic ones, the batch decoder and
-# encoder and the snapshot codec against encoding/json, and JL-projected
-# selection quality. (FuzzTornTail runs in `make durability`.) make
+# streaming fold's covering exit against the generic scan, SMM's phase
+# invariants and SMM-EXT's delegate caps (each against its generic
+# twin), the blocked distance kernels against the generic ones, the
+# batch decoder and encoder and the snapshot codec against
+# encoding/json, and JL-projected selection quality. (FuzzTornTail runs in `make durability`.) make
 # stops a recipe at its first failing line, so FuzzJLSelectionQuality,
 # which fails on streams with fewer distinct points than k (see
 # CHANGES.md), runs last, after every other target has had its 20 s.
@@ -27,6 +28,8 @@ fuzz-smoke:
 	$(GO) test -run 'Fuzz' -fuzz=FuzzDeltaInterleaving -fuzztime=20s ./internal/server
 	$(GO) test -run 'Fuzz' -fuzz=FuzzRebuildEngine -fuzztime=20s ./internal/sequential
 	$(GO) test -run 'Fuzz' -fuzz=FuzzFoldTwins -fuzztime=20s ./internal/streamalg
+	$(GO) test -run 'Fuzz' -fuzz=FuzzSMMInvariants -fuzztime=20s ./internal/streamalg
+	$(GO) test -run 'Fuzz' -fuzz=FuzzSMMExtDelegateCaps -fuzztime=20s ./internal/streamalg
 	$(GO) test -run 'Fuzz' -fuzz=FuzzBlockedVsGenericSqDist -fuzztime=20s ./internal/metric
 	$(GO) test -run 'Fuzz' -fuzz=FuzzPointsDecode -fuzztime=20s ./internal/api
 	$(GO) test -run 'Fuzz' -fuzz=FuzzSnapshotCodec -fuzztime=20s ./internal/api

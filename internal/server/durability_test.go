@@ -173,6 +173,57 @@ func TestAbruptCloseRecoversByReplay(t *testing.T) {
 	assertSameAnswers(t, "abrupt-close recovery", ts2.URL, twin.URL, 4)
 }
 
+// TestDurableReconfiguredRestartFailsClosed: a restart under another
+// k and k′ cannot restore the checkpoint and falls back to replaying
+// the whole log, but compaction already dropped the records the
+// checkpoint covered. The shard must fail closed through its
+// supervisor (unready, refusing writes) instead of serving the
+// surviving tail as if it were the whole stream.
+func TestDurableReconfiguredRestartFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Shards, cfg.SegmentBytes = 1, 512
+	for run := int64(0); run < 2; run++ {
+		srv, ts := newTestServer(t, cfg)
+		waitReady(t, srv)
+		pts := durableTestVecs(20+run, 1000, 2)
+		for i := 0; i < len(pts); i += 50 {
+			postIngest(t, ts.URL, pts[i:i+50])
+		}
+		if got := getStats(t, ts.URL).IngestedTotal; got != 1000*(run+1) {
+			t.Fatalf("run %d: ingested_total %d, want %d", run, got, 1000*(run+1))
+		}
+		ts.Close()
+		srv.Close()
+	}
+
+	cfg.MaxK, cfg.KPrime = 5, 10
+	srv, ts := newTestServer(t, cfg)
+	deadline := time.Now().Add(10 * time.Second)
+	for getStats(t, ts.URL).Shards[0].Health != "failed" {
+		if time.Now().After(deadline) {
+			st := getStats(t, ts.URL)
+			t.Fatalf("shard never failed: health %q, ready %v, ingested_total %d",
+				st.Shards[0].Health, srv.Ready(), st.IngestedTotal)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if srv.Ready() {
+		t.Fatal("server reports ready after its only shard failed recovery")
+	}
+	resp, err := http.Get(ts.URL + "/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/readyz status %d, want 503", resp.StatusCode)
+	}
+	if _, err := tryIngest(ts.URL, durableTestVecs(22, 5, 2)); err == nil {
+		t.Fatal("ingest accepted by a shard that failed recovery")
+	}
+}
+
 // TestDurablePanicRestartLosesNothing: the in-memory contract is that a
 // panicked batch dies with its incarnation; with a WAL the restart
 // replays the shard's own log — including the record of the batch whose

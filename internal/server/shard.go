@@ -307,8 +307,12 @@ func (s *shard) restart() {
 		// whose fold panicked (its record hit the disk before the fold
 		// ran), so a transient poison loses nothing. Genuinely poisoned
 		// data re-panics during replay and exhausts the budget honestly.
+		// A panic during recovery itself leaves lastSeq short of the end
+		// that recovery was replaying to, so the retry keeps the later of
+		// the two: a log that cannot be replayed fails the shard closed
+		// instead of letting a retry serve less than was acknowledged.
 		s.needRecover = true
-		s.replayTo = s.lastSeq
+		s.replayTo = max(s.replayTo, s.lastSeq)
 		logf("server: shard %d restarted, replaying wal through seq %d (restart %d of %d)",
 			s.id, s.replayTo, s.restarts.Load(), s.cfg.RestartBudget)
 		return
@@ -391,19 +395,9 @@ func (s *shard) recoverFromLog() {
 		err := s.log.Replay(from, s.replayTo, func(r wal.Record) error {
 			switch r.Kind {
 			case wal.KindIngest:
-				s.edge.ProcessBatch(r.Points)
-				s.proxy.ProcessBatch(r.Points)
-				s.ingested.Add(int64(len(r.Points)))
-				s.batches.Add(1)
-				s.lastBatch.Store(int64(len(r.Points)))
+				s.fold(r.Points)
 			case wal.KindDelete:
-				removed := 0
-				for _, p := range r.Points {
-					if max(s.edge.Delete(p), s.proxy.Delete(p)) != divmax.DeleteAbsent {
-						removed++
-					}
-				}
-				s.deleted.Add(int64(removed))
+				s.remove(r.Points)
 			}
 			if len(r.Points) > 0 {
 				s.srvDim.CompareAndSwap(0, int64(len(r.Points[0])))
@@ -544,22 +538,11 @@ func (s *shard) handle(msg shardMsg) {
 		return
 	}
 	if msg.delReply != nil {
-		// Delete broadcast: apply to BOTH families (a query for any
-		// measure must never see a deleted point) and report, per
-		// point, the strongest outcome. The epoch bump is deferred so a
-		// panicking delete still keeps accEpoch and procEpoch in
-		// lockstep (deleteAll bumped the accepted side before sending).
+		// Delete broadcast. The epoch bump is deferred so a panicking
+		// delete still keeps accEpoch and procEpoch in lockstep
+		// (deleteAll bumped the accepted side before sending).
 		defer s.procEpoch.Add(1)
-		outs := make([]divmax.DeleteOutcome, len(msg.del))
-		removed := 0
-		for i, p := range msg.del {
-			o := max(s.edge.Delete(p), s.proxy.Delete(p))
-			outs[i] = o
-			if o != divmax.DeleteAbsent {
-				removed++
-			}
-		}
-		s.deleted.Add(int64(removed))
+		outs := s.remove(msg.del)
 		s.stored.Store(int64(s.edge.StoredPoints() + s.proxy.StoredPoints()))
 		s.maybeCheckpoint()
 		if !s.inj.Delete(s.id) {
@@ -576,14 +559,37 @@ func (s *shard) handle(msg shardMsg) {
 	// loses.
 	defer s.procEpoch.Add(1)
 	s.inj.Batch(s.id, int(s.batches.Load()))
+	s.fold(batch)
+	s.stored.Store(int64(s.edge.StoredPoints() + s.proxy.StoredPoints()))
+	s.maybeCheckpoint()
+	putVecSlice(msg.batch)
+}
+
+// fold folds one batch into both core-set families and counts it; live
+// ingests and WAL replay both run through it.
+func (s *shard) fold(batch []divmax.Vector) {
 	s.edge.ProcessBatch(batch)
 	s.proxy.ProcessBatch(batch)
 	s.ingested.Add(int64(len(batch)))
 	s.batches.Add(1)
 	s.lastBatch.Store(int64(len(batch)))
-	s.stored.Store(int64(s.edge.StoredPoints() + s.proxy.StoredPoints()))
-	s.maybeCheckpoint()
-	putVecSlice(msg.batch)
+}
+
+// remove applies a delete to BOTH families (a query for any measure
+// must never see a deleted point), counts the points it removed from
+// either, and returns each point's strongest outcome; live deletes and
+// WAL replay both run through it.
+func (s *shard) remove(pts []divmax.Vector) []divmax.DeleteOutcome {
+	outs := make([]divmax.DeleteOutcome, len(pts))
+	removed := 0
+	for i, p := range pts {
+		outs[i] = max(s.edge.Delete(p), s.proxy.Delete(p))
+		if outs[i] != divmax.DeleteAbsent {
+			removed++
+		}
+	}
+	s.deleted.Add(int64(removed))
+	return outs
 }
 
 // drainFailed is the permanently-failed shard's message loop: every

@@ -16,8 +16,10 @@ import (
 //
 // The construction parameters (k, k′) are recorded and validated on
 // Restore: state from a differently-sized processor is rejected rather
-// than silently adopted, and the caller falls back to replaying raw
-// points (which rebuilds under the new parameters). The spare cap and
+// than silently adopted. A caller that still holds every raw point can
+// rebuild under the new parameters by replaying them; divmaxd's WAL
+// drops the records a checkpoint covers, so a shard whose checkpoint no
+// longer restores after compaction fails closed instead. The spare cap and
 // append-log cap, by contrast, are tuning knobs whose values the
 // checkpoint's data shape depends on, so Restore adopts the recorded
 // values — reconfiguring them takes effect from the next SetSpareCap /
@@ -25,7 +27,10 @@ import (
 
 // checkpointVersion guards the state-struct layout; bump it when a field
 // changes meaning so stale checkpoints are rejected instead of
-// misdecoded.
+// misdecoded. gob encodes the state structs by type and field name, so
+// they stay flat: a shared embedded header would rename the fields, and
+// checkpoints written before that change would no longer restore
+// (testdata/*.ckpt pin the bytes).
 const checkpointVersion = 1
 
 // smmState is SMM's complete mutable state with exported fields for gob.
@@ -49,7 +54,7 @@ type smmState[P any] struct {
 // consistent only between Process/Delete calls (the usual single-writer
 // contract).
 func (s *SMM[P]) Checkpoint() ([]byte, error) {
-	st := smmState[P]{
+	return encodeState(smmState[P]{
 		Version:     checkpointVersion,
 		K:           s.k,
 		KPrime:      s.kprime,
@@ -64,12 +69,7 @@ func (s *SMM[P]) Checkpoint() ([]byte, error) {
 		Gen:         s.gen,
 		Appended:    s.appended,
 		LogCap:      s.logCap,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("streamalg: checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
+	})
 }
 
 // Restore replaces the processor's state with a checkpoint taken from a
@@ -78,15 +78,11 @@ func (s *SMM[P]) Checkpoint() ([]byte, error) {
 // checkpoint does not carry. On error the processor is unchanged.
 func (s *SMM[P]) Restore(data []byte) error {
 	var st smmState[P]
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("streamalg: restore: %w", err)
+	if err := decodeState(data, &st); err != nil {
+		return err
 	}
-	if st.Version != checkpointVersion {
-		return fmt.Errorf("streamalg: restore: checkpoint version %d, want %d", st.Version, checkpointVersion)
-	}
-	if st.K != s.k || st.KPrime != s.kprime {
-		return fmt.Errorf("streamalg: restore: checkpoint built with k=%d k'=%d, processor has k=%d k'=%d",
-			st.K, st.KPrime, s.k, s.kprime)
+	if err := s.checkState(st.Version, st.K, st.KPrime, st.LogCap); err != nil {
+		return err
 	}
 	if st.SpareCap > 0 && st.Spares == nil {
 		st.Spares = make([][]P, len(st.Centers))
@@ -94,24 +90,9 @@ func (s *SMM[P]) Restore(data []byte) error {
 	if st.SpareCap > 0 && len(st.Spares) != len(st.Centers) {
 		return fmt.Errorf("streamalg: restore: %d spare lists for %d centers", len(st.Spares), len(st.Centers))
 	}
-	if st.LogCap < 1 {
-		return fmt.Errorf("streamalg: restore: append-log cap %d", st.LogCap)
-	}
-	s.initialized = st.Initialized
-	s.threshold = st.Threshold
-	s.phases = st.Phases
-	s.processed = st.Processed
-	s.centers = st.Centers
-	s.merged = st.Merged
-	s.spareCap = st.SpareCap
-	s.spares = st.Spares
-	s.gen = st.Gen
-	s.appended = st.Appended
-	s.logCap = st.LogCap
-	s.countOpen()
-	if s.scan != nil {
-		s.scan.Rebuild(s.centers)
-	}
+	s.merged, s.spareCap, s.spares = st.Merged, st.SpareCap, st.Spares
+	s.gen, s.appended, s.logCap = st.Gen, st.Appended, st.LogCap
+	s.restore(st.Initialized, st.Threshold, st.Phases, st.Processed, st.Centers)
 	return nil
 }
 
@@ -134,7 +115,7 @@ type smmExtState[P any] struct {
 // Checkpoint serializes the processor's complete state; see
 // SMM.Checkpoint.
 func (s *SMMExt[P]) Checkpoint() ([]byte, error) {
-	st := smmExtState[P]{
+	return encodeState(smmExtState[P]{
 		Version:     checkpointVersion,
 		K:           s.k,
 		KPrime:      s.kprime,
@@ -148,27 +129,18 @@ func (s *SMMExt[P]) Checkpoint() ([]byte, error) {
 		Gen:         s.gen,
 		Appended:    s.appended,
 		LogCap:      s.logCap,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("streamalg: checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
+	})
 }
 
 // Restore replaces the processor's state with a checkpoint taken from a
 // processor with identical construction parameters; see SMM.Restore.
 func (s *SMMExt[P]) Restore(data []byte) error {
 	var st smmExtState[P]
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("streamalg: restore: %w", err)
+	if err := decodeState(data, &st); err != nil {
+		return err
 	}
-	if st.Version != checkpointVersion {
-		return fmt.Errorf("streamalg: restore: checkpoint version %d, want %d", st.Version, checkpointVersion)
-	}
-	if st.K != s.k || st.KPrime != s.kprime {
-		return fmt.Errorf("streamalg: restore: checkpoint built with k=%d k'=%d, processor has k=%d k'=%d",
-			st.K, st.KPrime, s.k, s.kprime)
+	if err := s.checkState(st.Version, st.K, st.KPrime, st.LogCap); err != nil {
+		return err
 	}
 	if st.Delegates == nil && len(st.Centers) > 0 {
 		return fmt.Errorf("streamalg: restore: %d centers with no delegate sets", len(st.Centers))
@@ -176,22 +148,52 @@ func (s *SMMExt[P]) Restore(data []byte) error {
 	if len(st.Delegates) != len(st.Centers) {
 		return fmt.Errorf("streamalg: restore: %d delegate sets for %d centers", len(st.Delegates), len(st.Centers))
 	}
-	if st.LogCap < 1 {
-		return fmt.Errorf("streamalg: restore: append-log cap %d", st.LogCap)
+	s.delegates, s.merged = st.Delegates, st.Merged
+	s.gen, s.appended, s.logCap = st.Gen, st.Appended, st.LogCap
+	s.restore(st.Initialized, st.Threshold, st.Phases, st.Processed, st.Centers)
+	return nil
+}
+
+func encodeState(st any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, fmt.Errorf("streamalg: checkpoint: %w", err)
 	}
-	s.initialized = st.Initialized
-	s.threshold = st.Threshold
-	s.phases = st.Phases
-	s.processed = st.Processed
-	s.centers = st.Centers
-	s.delegates = st.Delegates
-	s.merged = st.Merged
-	s.gen = st.Gen
-	s.appended = st.Appended
-	s.logCap = st.LogCap
-	s.countOpen()
-	if s.scan != nil {
-		s.scan.Rebuild(s.centers)
+	return buf.Bytes(), nil
+}
+
+func decodeState(data []byte, st any) error {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(st); err != nil {
+		return fmt.Errorf("streamalg: restore: %w", err)
 	}
 	return nil
+}
+
+// checkState runs the checks every checkpoint must pass before the
+// processor adopts any of it: the layout version, the construction
+// parameters and a usable append-log cap.
+func (c *core[P]) checkState(version, k, kprime, logCap int) error {
+	if version != checkpointVersion {
+		return fmt.Errorf("streamalg: restore: checkpoint version %d, want %d", version, checkpointVersion)
+	}
+	if k != c.k || kprime != c.kprime {
+		return fmt.Errorf("streamalg: restore: checkpoint built with k=%d k'=%d, processor has k=%d k'=%d",
+			k, kprime, c.k, c.kprime)
+	}
+	if logCap < 1 {
+		return fmt.Errorf("streamalg: restore: append-log cap %d", logCap)
+	}
+	return nil
+}
+
+// restore adopts the core's checkpointed state and rebuilds what the
+// checkpoint does not carry — the count of open centers and the
+// Euclidean fast-path mirror — once the processor's payload is in place.
+func (c *core[P]) restore(initialized bool, threshold float64, phases int, processed int64, centers []P) {
+	c.initialized, c.threshold, c.phases, c.processed = initialized, threshold, phases, processed
+	c.centers = centers
+	c.countOpen()
+	if c.scan != nil {
+		c.scan.Rebuild(c.centers)
+	}
 }

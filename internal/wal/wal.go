@@ -462,7 +462,10 @@ func (l *Log) flusher() {
 // run concurrently with appends: every record with seq ≤ to is fully
 // written before the host starts recovery, and Replay stops at to
 // without reading into possibly-in-flight tail frames. An error from fn
-// or a damaged frame before to aborts the replay.
+// or a damaged frame before to aborts the replay, and so does a missing
+// record: when compaction has dropped from (a checkpoint covered it),
+// Replay fails before delivering anything rather than passing off the
+// surviving tail as the whole range.
 func (l *Log) Replay(from, to uint64, fn func(Record) error) error {
 	if to == 0 || from > to {
 		return nil
@@ -479,18 +482,19 @@ func (l *Log) Replay(from, to uint64, fn func(Record) error) error {
 	l.mu.Unlock()
 
 	done := false
+	next := from
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
 		_, _, _, damaged, err := walkFrames(data, 0, func(r Record) error {
-			if r.Seq > to {
-				done = true
-				return errStopWalk
-			}
 			if r.Seq < from {
 				return nil
+			}
+			if r.Seq != next {
+				return fmt.Errorf("wal: replay: found seq %d where seq %d was due: records %d through %d are no longer in the log",
+					r.Seq, next, next, min(r.Seq-1, to))
 			}
 			if err := fn(r); err != nil {
 				return err
@@ -499,6 +503,7 @@ func (l *Log) Replay(from, to uint64, fn func(Record) error) error {
 				done = true
 				return errStopWalk
 			}
+			next++
 			return nil
 		})
 		if err != nil {

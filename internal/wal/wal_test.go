@@ -244,6 +244,44 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// TestReplayFailsOnCompactedRecords: once compaction has dropped the
+// records a checkpoint covered, a replay that asks for them (a host
+// whose checkpoint no longer restores falls back to the full range)
+// fails before delivering anything, instead of delivering the
+// surviving tail as if it were the whole log. A range the log still
+// holds replays as before.
+func TestReplayFailsOnCompactedRecords(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncOff, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close(false)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		mustAppend(t, l, KindIngest, testVecs(rng, 2, 4))
+	}
+	if err := l.WriteCheckpoint([]byte("state"), 31); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, KindIngest, testVecs(rng, 2, 4)) // rotates and compacts
+	delivered := 0
+	count := func(Record) error { delivered++; return nil }
+	for _, from := range []uint64{1, 20} {
+		if err := l.Replay(from, 41, count); err == nil {
+			t.Fatalf("Replay(%d, 41) on a log compacted below seq 31 succeeded", from)
+		}
+		if delivered != 0 {
+			t.Fatalf("Replay(%d, 41) delivered %d records before failing, want 0", from, delivered)
+		}
+	}
+	if err := l.Replay(31, 41, count); err != nil {
+		t.Fatalf("Replay(31, 41): %v", err)
+	}
+	if delivered != 11 {
+		t.Fatalf("Replay(31, 41) delivered %d records, want 11", delivered)
+	}
+}
+
 func TestCheckpointCrashKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
 	hookArmed := false

@@ -169,68 +169,53 @@ type CoresetDelta[P any] struct {
 	Partial bool
 }
 
-// snapshotter is the slice of the SMM/SMM-EXT API a CoresetSnapshot is
-// built from.
-type snapshotter[P any] interface {
+// processor is the SMM and SMM-EXT API a StreamCoreset is built on: the
+// stream, delete and checkpoint methods, the statistics a snapshot
+// reports, and the restructure counter and per-generation append log
+// that incremental snapshots read.
+type processor[P any] interface {
+	Process(p P)
+	ProcessBatch(batch []P)
+	Delete(p P) DeleteOutcome
+	Checkpoint() ([]byte, error)
+	Restore(data []byte) error
 	Result() []P
 	CoverageRadius() float64
 	Processed() int64
 	StoredPoints() int
-}
-
-// deltaSnapshotter adds the incremental-snapshot slice of the SMM and
-// SMM-EXT API: the restructure counter and the per-generation append
-// log.
-type deltaSnapshotter[P any] interface {
-	snapshotter[P]
 	Generation() uint64
 	AppendLogLen() int
 	AppendedSince(pos int) []P
 }
 
-func snapshotOf[P any](s snapshotter[P]) CoresetSnapshot[P] {
-	return CoresetSnapshot[P]{
-		Points:    s.Result(),
-		Radius:    s.CoverageRadius(),
-		Processed: s.Processed(),
-		Stored:    s.StoredPoints(),
-	}
-}
+// adapter is the StreamCoreset over an SMM or SMM-EXT processor. It
+// embeds the processor, so callers that assert for Generation (divmaxd's
+// checkpoint trigger) still find it.
+type adapter[P any] struct{ processor[P] }
 
-func deltaOf[P any](s deltaSnapshotter[P], gen uint64, pos int) CoresetDelta[P] {
-	out := CoresetDelta[P]{Gen: s.Generation(), Pos: s.AppendLogLen()}
+func (a adapter[P]) Coreset() []P { return a.Result() }
+
+func (a adapter[P]) Snapshot() CoresetSnapshot[P] { return a.view(a.Result()) }
+
+func (a adapter[P]) SnapshotSince(gen uint64, pos int) CoresetDelta[P] {
+	out := CoresetDelta[P]{Gen: a.Generation(), Pos: a.AppendLogLen()}
 	if pos >= 0 && gen == out.Gen && pos <= out.Pos {
 		out.Partial = true
-		out.CoresetSnapshot = CoresetSnapshot[P]{
-			Points:    s.AppendedSince(pos),
-			Radius:    s.CoverageRadius(),
-			Processed: s.Processed(),
-			Stored:    s.StoredPoints(),
-		}
-		return out
+		out.CoresetSnapshot = a.view(a.AppendedSince(pos))
+	} else {
+		out.CoresetSnapshot = a.Snapshot()
 	}
-	out.CoresetSnapshot = snapshotOf[P](s)
 	return out
 }
 
-type smmAdapter[P any] struct{ *streamalg.SMM[P] }
-
-func (a smmAdapter[P]) Coreset() []P { return a.Result() }
-
-func (a smmAdapter[P]) Snapshot() CoresetSnapshot[P] { return snapshotOf[P](a.SMM) }
-
-func (a smmAdapter[P]) SnapshotSince(gen uint64, pos int) CoresetDelta[P] {
-	return deltaOf[P](a.SMM, gen, pos)
-}
-
-type smmExtAdapter[P any] struct{ *streamalg.SMMExt[P] }
-
-func (a smmExtAdapter[P]) Coreset() []P { return a.Result() }
-
-func (a smmExtAdapter[P]) Snapshot() CoresetSnapshot[P] { return snapshotOf[P](a.SMMExt) }
-
-func (a smmExtAdapter[P]) SnapshotSince(gen uint64, pos int) CoresetDelta[P] {
-	return deltaOf[P](a.SMMExt, gen, pos)
+// view reports pts with the processor's statistics.
+func (a adapter[P]) view(pts []P) CoresetSnapshot[P] {
+	return CoresetSnapshot[P]{
+		Points:    pts,
+		Radius:    a.CoverageRadius(),
+		Processed: a.Processed(),
+		Stored:    a.StoredPoints(),
+	}
 }
 
 // NewStreamCoreset returns the streaming core-set processor appropriate
@@ -238,9 +223,9 @@ func (a smmExtAdapter[P]) SnapshotSince(gen uint64, pos int) CoresetDelta[P] {
 // delegate-based measures. It panics if k < 1 or kprime < k.
 func NewStreamCoreset[P any](m Measure, k, kprime int, d Distance[P]) StreamCoreset[P] {
 	if m.NeedsInjectiveProxy() {
-		return smmExtAdapter[P]{streamalg.NewSMMExt(k, kprime, d)}
+		return adapter[P]{streamalg.NewSMMExt(k, kprime, d)}
 	}
-	return smmAdapter[P]{streamalg.NewSMM(k, kprime, d)}
+	return adapter[P]{streamalg.NewSMM(k, kprime, d)}
 }
 
 // NewDynamicStreamCoreset is NewStreamCoreset tuned for deletion-heavy
@@ -254,9 +239,9 @@ func NewStreamCoreset[P any](m Measure, k, kprime int, d Distance[P]) StreamCore
 // (identical to NewStreamCoreset).
 func NewDynamicStreamCoreset[P any](m Measure, k, kprime, spares int, d Distance[P]) StreamCoreset[P] {
 	if m.NeedsInjectiveProxy() {
-		return smmExtAdapter[P]{streamalg.NewSMMExt(k, kprime, d)}
+		return adapter[P]{streamalg.NewSMMExt(k, kprime, d)}
 	}
 	s := streamalg.NewSMM(k, kprime, d)
 	s.SetSpareCap(spares)
-	return smmAdapter[P]{s}
+	return adapter[P]{s}
 }
