@@ -20,10 +20,11 @@ race:
 # invariants and SMM-EXT's delegate caps (each against its generic
 # twin), the blocked distance kernels against the generic ones, the
 # batch decoder and encoder and the snapshot codec against
-# encoding/json, and JL-projected selection quality. (FuzzTornTail runs in `make durability`.) make
-# stops a recipe at its first failing line, so FuzzJLSelectionQuality,
-# which fails on streams with fewer distinct points than k (see
-# CHANGES.md), runs last, after every other target has had its 20 s.
+# encoding/json, and JL-projected selection quality. (FuzzTornTail runs
+# in `make durability`.) make stops a recipe at its first failing line,
+# so FuzzJLSelectionQuality, which fails on streams with fewer distinct
+# points than k (see CHANGES.md), runs last, after every other target
+# has had its 20 s.
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' -fuzz=FuzzDeltaInterleaving -fuzztime=20s ./internal/server
 	$(GO) test -run 'Fuzz' -fuzz=FuzzRebuildEngine -fuzztime=20s ./internal/sequential

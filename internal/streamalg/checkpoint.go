@@ -19,8 +19,8 @@ import (
 // than silently adopted. A caller that still holds every raw point can
 // rebuild under the new parameters by replaying them; divmaxd's WAL
 // drops the records a checkpoint covers, so a shard whose checkpoint no
-// longer restores after compaction fails closed instead. The spare cap and
-// append-log cap, by contrast, are tuning knobs whose values the
+// longer restores after compaction fails closed instead. The spare cap
+// and append-log cap, by contrast, are tuning knobs whose values the
 // checkpoint's data shape depends on, so Restore adopts the recorded
 // values — reconfiguring them takes effect from the next SetSpareCap /
 // SetAppendLogCap call, exactly as it does mid-stream.
