@@ -277,8 +277,11 @@ type StatsResponse struct {
 	// the total. CachedCoresetPoints and CachedMatrixBytes size what
 	// the caches currently retain, summed over the two core-set
 	// families (tiled engines retain no matrix, so they contribute 0
-	// bytes); CachedMatrixBytes includes the buffer a rebuild keeps
-	// for the next one to reuse.
+	// bytes). CachedMatrixBytes counts each retained matrix buffer
+	// whole, the headroom beyond its n×n view included: a patch grows a
+	// buffer a quarter wider than it needs, and a rebuild into a
+	// retired buffer keeps that buffer's width. It includes the buffer
+	// a rebuild keeps for the next one to reuse.
 	CacheHits           int64 `json:"query_cache_hits"`
 	CacheMisses         int64 `json:"query_cache_misses"`
 	MissesCold          int64 `json:"query_cache_misses_cold"`

@@ -156,8 +156,11 @@ type family[C any] struct {
 	// retired is the engine the last rebuild replaced, whose matrix
 	// buffer the next rebuild may write into once no query can still be
 	// reading it. Patches since then only extend the rebuilt engine's
-	// chain, which never shares that buffer. Written under both rebuild
-	// and mu.
+	// chain, which never shares that buffer. The next rebuild keeps the
+	// buffer's stride, so the headroom the patches before it grew passes
+	// on, and the patches after it extend the rebuilt engine in place:
+	// a family that patches between rebuilds alternates between two
+	// buffers. Written under both rebuild and mu.
 	retired *sequential.Engine
 }
 
@@ -495,9 +498,9 @@ func newState[C any](replies []Reply[C], m *memo) *state[C] {
 
 // build returns union's solve engine, copying the cells of the points
 // it shares with prev, an engine over an earlier union, when prev is
-// non-nil, and writing them into spare's matrix buffer, when spare is
-// non-nil and large enough. Either way the engine is bit-identical to a
-// fresh build.
+// non-nil, and writing them into spare's matrix buffer at that
+// buffer's stride, when spare is non-nil and its stride holds the
+// union. Either way the engine is bit-identical to a fresh build.
 func (c *Cache[C]) build(prev, spare *sequential.Engine, union []divmax.Vector) *sequential.Engine {
 	return sequential.RebuildEngineReusing(prev, spare, union, divmax.Euclidean, c.cfg.SolveWorkers)
 }

@@ -418,20 +418,16 @@ func pickIdx(pts []divmax.Vector, idx []int) []divmax.Vector {
 // previous rebuild replaced, so back-to-back rebuilds alternate between
 // two buffers, and so does a rebuild after patches, which extend only
 // the rebuilt engine's chain; one that runs beside another query
-// allocates. Every engine equals a fresh build cell for cell. The test
-// holds every engine it names, so no buffer is freed and handed out
-// again at the same address.
+// allocates. A rebuild into a buffer a patch grew keeps its stride, so
+// the patch after it extends the rebuilt engine in place. Every engine
+// equals a fresh build cell for cell. The test holds every engine it
+// names, so no buffer is freed and handed out again at the same address.
 func TestRebuildRecyclesRetiredBuffer(t *testing.T) {
 	src := newFakeSource(grid(0, 30), grid(1000, 30))
 	c := New(src, testConfig())
 	buf := func(e *sequential.Engine) *float64 { return &e.Matrix().SqRow(0)[0] }
-	rebuild := func(label string) *sequential.Engine {
+	installed := func(label string) *sequential.Engine {
 		t.Helper()
-		src.restructure(0)
-		resp := query(t, c, divmax.RemoteEdge, 3)
-		if resp.Patched || resp.Cached {
-			t.Fatalf("%s: patched=%v cached=%v, want a rebuild", label, resp.Patched, resp.Cached)
-		}
 		got := c.Engine(0)
 		want := sequential.BuildEngine(c.fams[0].state.union, divmax.Euclidean, 1)
 		for i := range got.Len() {
@@ -442,6 +438,23 @@ func TestRebuildRecyclesRetiredBuffer(t *testing.T) {
 			}
 		}
 		return got
+	}
+	rebuild := func(label string) *sequential.Engine {
+		t.Helper()
+		src.restructure(0)
+		resp := query(t, c, divmax.RemoteEdge, 3)
+		if resp.Patched || resp.Cached {
+			t.Fatalf("%s: patched=%v cached=%v, want a rebuild", label, resp.Patched, resp.Cached)
+		}
+		return installed(label)
+	}
+	patch := func(label string) *sequential.Engine {
+		t.Helper()
+		src.add(1, divmax.Vector{1000.5, 3})
+		if resp := query(t, c, divmax.RemoteEdge, 3); !resp.Patched {
+			t.Fatalf("%s: a one-point delta did not patch", label)
+		}
+		return installed(label)
 	}
 	query(t, c, divmax.RemoteEdge, 3)
 	a := c.Engine(0)
@@ -466,19 +479,34 @@ func TestRebuildRecyclesRetiredBuffer(t *testing.T) {
 
 	// Patches extend d's chain; the buffer retired beside d (b's) is
 	// still free for the rebuild after them, back at the same union size.
-	src.add(1, divmax.Vector{1000.5, 3})
-	if resp := query(t, c, divmax.RemoteEdge, 3); !resp.Patched {
-		t.Fatal("a one-point delta did not patch")
-	}
-	p := c.Engine(0)
+	p := patch("patch of a stride-n matrix")
 	if buf(p) == buf(b) || buf(p) == buf(d) {
 		t.Fatal("the patch did not reallocate its engine's matrix")
 	}
-	src.mu.Lock()
-	src.pts[1] = src.pts[1][:30]
-	src.mu.Unlock()
-	src.restructure(1)
-	if got := rebuild("rebuild after a patch"); buf(got) != buf(b) {
+	shrink := func() {
+		src.mu.Lock()
+		src.pts[1] = src.pts[1][:30]
+		src.mu.Unlock()
+		src.restructure(1)
+	}
+	shrink()
+	e := rebuild("rebuild after a patch")
+	if buf(e) != buf(b) {
 		t.Fatal("the rebuild after a patch did not reuse the buffer retired before it")
+	}
+
+	// The next rebuild writes into p's buffer, which the patch grew a
+	// quarter wider than the union, and keeps that stride: the patch
+	// after it fits.
+	if got := rebuild("rebuild into a grown buffer"); buf(got) != buf(p) {
+		t.Fatal("the rebuild did not reuse the buffer the patch grew")
+	}
+	if got := patch("patch after a rebuild into a grown buffer"); buf(got) != buf(p) {
+		t.Fatal("the patch after a rebuild into a grown buffer reallocated the matrix")
+	}
+	// And the rebuild after that patch goes back to e's buffer.
+	shrink()
+	if got := rebuild("rebuild after the in-place patch"); buf(got) != buf(e) {
+		t.Fatal("the rebuild after the in-place patch did not reuse the buffer retired before it")
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// DistMatrix is a flat, row-major n×n buffer of pairwise squared
-// Euclidean distances: sq[i*n+j] = SqDist(row i, row j). It is the
+// DistMatrix is a flat, row-major buffer of the n×n pairwise squared
+// Euclidean distances: sq[i*stride+j] = SqDist(row i, row j). It is the
 // substrate of the round-2 solve fast path (internal/sequential): the
 // sequential α-approximation algorithms run on the merged core-set
 // union are Ω(n²) in distance evaluations, so materializing every pair
@@ -30,10 +30,14 @@ type DistMatrix struct {
 	sq []float64
 	n  int
 	// stride is the row stride of sq — the point capacity of the
-	// backing buffer. It equals n for matrices built by NewDistMatrix
-	// and NewDistMatrixRemapped; Grown over-allocates by a quarter, the
+	// backing buffer, which holds stride² cells. NewDistMatrix lays a
+	// matrix out at stride n. Grown over-allocates by a quarter, the
 	// default delta budget of a patch, so the next patches reuse the
-	// buffer instead of recopying n² entries each time.
+	// buffer instead of recopying n² entries each time, and
+	// NewDistMatrixRemapped keeps the stride of the spare buffer it
+	// writes into, so a rebuild inherits the headroom of the patches
+	// before it. No cell outside the n×n view is read before Grown
+	// writes it.
 	stride int
 }
 
@@ -168,10 +172,14 @@ func (m *DistMatrix) Grown(p *Points, strideCap, workers int) *DistMatrix {
 // rebuild.
 //
 // spare, when non-nil, is a retired matrix that no reader will touch
-// again: when its buffer holds p.Len()² cells and is not prev's, the
-// result is written into it instead of a new buffer, so a caller that
-// rebuilds over and over keeps two buffers instead of feeding the
-// garbage collector one per rebuild. It panics when q is not prev's
+// again: when its stride is at least p.Len() and its buffer is not
+// prev's, the result is written into that buffer at that stride
+// instead of into a new one at stride p.Len(). A caller that rebuilds
+// over and over then keeps two buffers instead of feeding the garbage
+// collector one per rebuild, and the headroom a patch chain's Grown
+// left in spare lets the patches after this rebuild extend the result
+// in place. The cells outside the result's n×n view keep spare's stale
+// values until Grown overwrites them. It panics when q is not prev's
 // store or the dimensions differ. workers bounds the fill and copy
 // goroutines (≤ 0 means runtime.NumCPU()).
 func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) *DistMatrix {
@@ -198,8 +206,8 @@ func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) *
 		runs = append(runs, run{j: j, oj: o, l: 1})
 	}
 	var m *DistMatrix
-	if spare != nil && cap(spare.sq) >= n*n && &spare.sq[:1][0] != &prev.sq[:1][0] {
-		m = &DistMatrix{sq: spare.sq[:n*n], n: n, stride: n}
+	if spare != nil && spare.stride >= n && &spare.sq[:1][0] != &prev.sq[:1][0] {
+		m = &DistMatrix{sq: spare.sq, n: n, stride: spare.stride}
 	} else {
 		m = NewDistMatrixEmpty(n)
 	}
@@ -224,13 +232,13 @@ func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) *
 			if o < 0 {
 				continue
 			}
-			row := m.sq[i*n : i*n+n]
+			row := m.sq[i*m.stride : i*m.stride+n]
 			src := prev.sq[o*prev.stride : o*prev.stride+prev.n]
 			for _, r := range runs {
 				copy(row[r.j:r.j+r.l], src[r.oj:r.oj+r.l])
 			}
 			for _, j := range fresh {
-				row[j] = m.sq[j*n+i]
+				row[j] = m.sq[j*m.stride+i]
 			}
 		}
 	})

@@ -96,20 +96,35 @@ func BenchmarkRebuildEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFirstAppend is the first patch after a build: one
-// point appended to an engine whose matrix has no spare stride, so
-// DistMatrix.Grown reallocates it and copies the old rows.
+// BenchmarkEngineFirstAppend is the first patch after a rebuild: one
+// point appended to an engine whose matrix has no spare stride, as
+// after a build, so DistMatrix.Grown reallocates it and copies the old
+// rows (build); and the same append after a rebuild into the buffer an
+// earlier patch grew, which keeps that buffer's stride, so the new row
+// and column are filled in place (grown-spare).
 func BenchmarkEngineFirstAppend(b *testing.B) {
 	for _, s := range benchShapes {
 		rng := rand.New(rand.NewSource(4))
 		pts := randomVectors(rng, s.n+1, s.dim)
 		base := BuildEngine(pts[:s.n], metric.Euclidean, 1)
-		b.Run(fmt.Sprintf("n=%d/d=%d", s.n, s.dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !base.Fork().Append(pts[s.n:]) {
-					b.Fatal("Append failed")
+		spare := base.Fork()
+		if !spare.Append(pts[s.n:]) {
+			b.Fatal("Append failed")
+		}
+		rebuilt := RebuildEngineReusing(base, spare, pts[:s.n], metric.Euclidean, 1)
+		name := fmt.Sprintf("n=%d/d=%d", s.n, s.dim)
+		for _, c := range []struct {
+			name string
+			e    *Engine
+		}{{name + "/build", base}, {name + "/grown-spare", rebuilt}} {
+			b.Run(c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if !c.e.Fork().Append(pts[s.n:]) {
+						b.Fatal("Append failed")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

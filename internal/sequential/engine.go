@@ -135,9 +135,12 @@ func RebuildEngine[P any](prev *Engine, pts []P, d metric.Distance[P], workers i
 
 // RebuildEngineReusing is RebuildEngine that writes a remapped matrix
 // into the buffer of spare, an engine no solve will read again, when
-// that buffer is large enough and is not prev's. The engine is the same
-// either way; spare's is only a buffer the caller would otherwise leave
-// to the garbage collector.
+// that buffer's stride holds the new union and the buffer is not
+// prev's. The matrix then keeps spare's stride, so headroom a patch
+// left in spare serves the Appends after this rebuild without a new
+// buffer. The cells, and so every solve, are the same either way;
+// spare's is only a buffer the caller would otherwise leave to the
+// garbage collector.
 func RebuildEngineReusing[P any](prev, spare *Engine, pts []P, d metric.Distance[P], workers int) *Engine {
 	if len(pts) < 2 || !metric.IsEuclidean(d) {
 		return nil

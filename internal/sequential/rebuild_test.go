@@ -189,18 +189,39 @@ func FuzzRebuildEngine(f *testing.F) {
 		sameEngineCells(t, label, RebuildEngine(prev, pts, metric.Euclidean, workers), want)
 		// A spare buffer holding another matrix's cells must not leak any.
 		spare := BuildEngine(append(prevPts, pts...), metric.Euclidean, workers)
-		sameEngineCells(t, label+" spare", RebuildEngineReusing(prev, spare, pts, metric.Euclidean, workers), want)
+		got := RebuildEngineReusing(prev, spare, pts, metric.Euclidean, workers)
+		sameEngineCells(t, label+" spare", got, want)
+		// The rebuilt matrix keeps the spare's stride, so the rows after it
+		// go into the headroom, over the spare's stale cells.
+		if got == nil {
+			return
+		}
+		extra := make([]metric.Vector, 1+int(sel>>5))
+		for i := range extra {
+			extra[i] = pool[int(body[i%len(body)])%size]
+		}
+		if !got.Append(extra) {
+			t.Fatalf("%s: Append after the spare rebuild failed", label)
+		}
+		sameEngineCells(t, label+" spare+append", got, BuildEngine(append(pts[:len(pts):len(pts)], extra...), metric.Euclidean, workers))
 	})
 }
 
 // TestRebuildEngineReusesSpare: a spare engine's matrix buffer takes the
-// rebuilt cells when it is large enough and is not prev's; otherwise a
-// new buffer is allocated. The cells equal BuildEngine's either way.
+// rebuilt cells when its stride holds the new union and it is not
+// prev's; otherwise a new buffer is allocated. A reused buffer keeps
+// its stride, so an Append within the headroom a patch grew in it
+// writes into the same buffer. The cells equal BuildEngine's either way.
 func TestRebuildEngineReusesSpare(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := randomVectors(rng, 80, 8)
 	prev := BuildEngine(pts[:60], metric.Euclidean, 2)
 	buf := func(e *Engine) *float64 { return &e.Matrix().SqRow(0)[0] }
+	// A patched engine: 50 points grown by 10 to stride 62.
+	grown := BuildEngine(pts[:50], metric.Euclidean, 1).Fork()
+	if !grown.Append(pts[50:60]) {
+		t.Fatal("Append to the spare failed")
+	}
 	for _, tc := range []struct {
 		name  string
 		spare *Engine
@@ -209,6 +230,7 @@ func TestRebuildEngineReusesSpare(t *testing.T) {
 	}{
 		{"large enough", BuildEngine(pts, metric.Euclidean, 1), pts[5:65], true},
 		{"exactly n²", BuildEngine(pts[20:80], metric.Euclidean, 1), pts[5:65], true},
+		{"grown", grown, pts[5:65], true},
 		{"too small", BuildEngine(pts[:50], metric.Euclidean, 1), pts[5:65], false},
 		{"prev's own buffer", prev, pts[:50], false},
 		{"no spare", nil, pts[5:65], false},
@@ -216,8 +238,27 @@ func TestRebuildEngineReusesSpare(t *testing.T) {
 		want := BuildEngine(tc.union, metric.Euclidean, 1)
 		got := RebuildEngineReusing(prev, tc.spare, tc.union, metric.Euclidean, 2)
 		sameEngineCells(t, tc.name, got, want)
-		if reused := tc.spare != nil && buf(got) == buf(tc.spare); reused != tc.reuse {
+		reused := tc.spare != nil && buf(got) == buf(tc.spare)
+		if reused != tc.reuse {
 			t.Fatalf("%s: reused the spare buffer = %v, want %v", tc.name, reused, tc.reuse)
 		}
+		if !reused {
+			if got.MatrixBytes() != want.MatrixBytes() {
+				t.Fatalf("%s: a new buffer of %d bytes, want %d", tc.name, got.MatrixBytes(), want.MatrixBytes())
+			}
+			continue
+		}
+		if got.MatrixBytes() != tc.spare.MatrixBytes() {
+			t.Fatalf("%s: the rebuilt matrix spans %d bytes of the spare's %d", tc.name, got.MatrixBytes(), tc.spare.MatrixBytes())
+		}
+		// Two more rows fit in place when the spare's stride is at least 62.
+		if !got.Append(pts[65:67]) {
+			t.Fatalf("%s: Append failed", tc.name)
+		}
+		inPlace := tc.spare.MatrixBytes() >= 62*62*8
+		if kept := buf(got) == buf(tc.spare); kept != inPlace {
+			t.Fatalf("%s: the Append kept the spare's buffer = %v, want %v", tc.name, kept, inPlace)
+		}
+		sameEngineCells(t, tc.name+"+append", got, BuildEngine(append(tc.union[:60:60], pts[65:67]...), metric.Euclidean, 1))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -221,6 +222,59 @@ func TestDurableReconfiguredRestartFailsClosed(t *testing.T) {
 	}
 	if _, err := tryIngest(ts.URL, durableTestVecs(22, 5, 2)); err == nil {
 		t.Fatal("ingest accepted by a shard that failed recovery")
+	}
+}
+
+// TestDurableBootFailureKeepsReady: a shard that fails permanently
+// during boot recovery is done recovering, so /v1/readyz judges it by
+// the rule for a shard that fails after boot — not ready only when more
+// than half the shards failed — instead of waiting for it forever.
+// Only shard 0 loses its checkpoint, so only its replay starts at
+// records the second run's segment rotations compacted.
+func TestDurableBootFailureKeepsReady(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Shards, cfg.SegmentBytes = 4, 512
+	for run := int64(0); run < 2; run++ {
+		srv, ts := newTestServer(t, cfg)
+		waitReady(t, srv)
+		pts := durableTestVecs(30+run, 1000, 2)
+		for i := 0; i < len(pts); i += 50 {
+			postIngest(t, ts.URL, pts[i:i+50])
+		}
+		ts.Close()
+		srv.Close()
+	}
+	if err := os.Remove(filepath.Join(dir, "shard-000", "checkpoint.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, cfg)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/v1/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/v1/readyz still %d after shard 0's boot recovery: %s", resp.StatusCode, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := getStats(t, ts.URL)
+	for i, sh := range st.Shards {
+		want := "healthy"
+		if i == 0 {
+			want = "failed"
+		}
+		if sh.Health != want {
+			t.Fatalf("shard %d health %q, want %q", i, sh.Health, want)
+		}
 	}
 }
 

@@ -963,10 +963,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness:
-// a draining server, or one with more than half its shards permanently
-// failed, answers 503 with the uniform envelope so load balancers stop
-// routing to it — while /healthz keeps answering ok, because the
-// process itself is alive and (with degraded queries on) still useful.
+// a draining server, one with a shard still in boot recovery, or one
+// with more than half its shards permanently failed, answers 503 with
+// the uniform envelope so load balancers stop routing to it — while
+// /healthz keeps answering ok, because the process itself is alive and
+// (with degraded queries on) still useful. A shard that failed is done
+// recovering, whether it failed during boot recovery or after, so the
+// failed rule decides both cases.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	draining := s.draining
@@ -975,21 +978,18 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, "%v", errDraining)
 		return
 	}
-	recovering := 0
+	recovering, failed := 0, 0
 	for _, sh := range s.shards {
-		if !sh.ready.Load() {
+		switch {
+		case sh.failed():
+			failed++
+		case !sh.ready.Load():
 			recovering++
 		}
 	}
 	if recovering > 0 {
 		api.WriteError(w, http.StatusServiceUnavailable, "server: not ready, recovering %d of %d shards", recovering, len(s.shards))
 		return
-	}
-	failed := 0
-	for _, sh := range s.shards {
-		if sh.failed() {
-			failed++
-		}
 	}
 	if failed*2 > len(s.shards) {
 		api.WriteError(w, http.StatusServiceUnavailable, "server: not ready, %d of %d shards failed permanently", failed, len(s.shards))

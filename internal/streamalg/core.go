@@ -59,8 +59,8 @@ type payload[P any] interface {
 	// center's room.
 	absorb(i int, p P, dist float64) (filled bool)
 	// mergeAway disposes of the payload of center i, which the running
-	// merge removes; survivor finds the center that covers it.
-	mergeAway(i int)
+	// merge removes; j is the first kept center that covers it.
+	mergeAway(i, j int)
 	// retain keeps the payloads of the centers at the ascending indices
 	// keep, in that order, and drops the rest.
 	retain(keep []int)
@@ -185,21 +185,17 @@ func (c *core[P]) startPhase() {
 // merge replaces T with a maximal independent set of the graph
 // connecting centers at distance ≤ 2·d_i, scanning in insertion order
 // (deterministic). Each removed center's payload goes where its
-// processor's mergeAway sends it.
+// processor's mergeAway sends it, as soon as the scan finds the center
+// that covers it: mergeAway reads no center, and every center kept
+// later comes after the one found.
 func (c *core[P]) merge() {
 	c.keep = c.keep[:0]
 	for i := range c.centers {
-		if c.survivor(i) < 0 {
+		if j := c.survivor(i); j >= 0 {
+			c.pay.mergeAway(i, j)
+		} else {
 			c.keep = append(c.keep, i)
 		}
-	}
-	next := 0
-	for i := range c.centers {
-		if next < len(c.keep) && c.keep[next] == i {
-			next++
-			continue
-		}
-		c.pay.mergeAway(i)
 	}
 	c.pay.retain(c.keep)
 	c.centers = compact(c.centers, c.keep)
@@ -209,8 +205,8 @@ func (c *core[P]) merge() {
 	}
 }
 
-// survivor returns the first center kept by the running merge that
-// lies within 2·d_i of center i, or -1 when none does.
+// survivor returns the first center the running merge has kept so far
+// that lies within 2·d_i of center i, or -1 when none does.
 func (c *core[P]) survivor(i int) int {
 	for _, j := range c.keep {
 		if c.d(c.centers[j], c.centers[i]) <= 2*c.threshold {

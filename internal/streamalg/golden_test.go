@@ -86,7 +86,10 @@ func TestCheckpointGolden(t *testing.T) {
 // TestGoldenDistanceCalls pins the number of distance evaluations each
 // processor makes on the generic path over the whole golden stream,
 // deletes included (SMM-GEN has no Delete and takes the points alone).
-// The counts were taken from the build that wrote the goldens.
+// The counts were taken from the build that wrote the goldens, less,
+// for SMM-EXT and SMM-GEN, the second survivor scan per merged-away
+// center that build made: the merge now hands mergeAway the survivor
+// it found.
 func TestGoldenDistanceCalls(t *testing.T) {
 	pts, dels := goldenStream()
 	count := func(run func(d metric.Distance[metric.Vector])) int64 {
@@ -94,7 +97,7 @@ func TestGoldenDistanceCalls(t *testing.T) {
 		run(c.Distance())
 		return c.Calls()
 	}
-	want := map[string]int64{"smm.ckpt": 3554, "smm-spares2.ckpt": 4064, "smmext.ckpt": 5317}
+	want := map[string]int64{"smm.ckpt": 3554, "smm-spares2.ckpt": 4064, "smmext.ckpt": 5284}
 	for _, tc := range goldenCases {
 		got := count(func(d metric.Distance[metric.Vector]) { drive(tc.fresh(d), pts, dels) })
 		if got != want[tc.file] {
@@ -102,7 +105,7 @@ func TestGoldenDistanceCalls(t *testing.T) {
 		}
 	}
 	got := count(func(d metric.Distance[metric.Vector]) { NewSMMGen(4, 10, d).ProcessBatch(pts) })
-	if want := int64(3293); got != want {
+	if want := int64(3257); got != want {
 		t.Errorf("SMM-GEN: %d distance calls, want %d", got, want)
 	}
 }

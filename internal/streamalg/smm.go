@@ -97,7 +97,7 @@ func (s *SMM[P]) absorb(i int, p P, dist float64) bool {
 }
 
 // mergeAway moves a removed center into M and drops its spares.
-func (s *SMM[P]) mergeAway(i int) { s.merged = append(s.merged, s.centers[i]) }
+func (s *SMM[P]) mergeAway(i, _ int) { s.merged = append(s.merged, s.centers[i]) }
 
 func (s *SMM[P]) retain(keep []int) {
 	if s.spareCap > 0 {

@@ -63,11 +63,7 @@ func (s *SMMExt[P]) absorb(i int, p P, _ float64) bool {
 // reading consistent with the proof of Lemma 4). Delegates that cannot
 // be inherited are retained for the phase so Result can top the output
 // up to k points.
-func (s *SMMExt[P]) mergeAway(i int) {
-	j := s.survivor(i)
-	if j < 0 {
-		return
-	}
+func (s *SMMExt[P]) mergeAway(i, j int) {
 	take := min(len(s.delegates[i]), s.k-len(s.delegates[j]))
 	s.delegates[j] = append(s.delegates[j], s.delegates[i][:take]...)
 	s.merged = append(s.merged, s.delegates[i][take:]...)
@@ -140,10 +136,8 @@ func (s *SMMGen[P]) absorb(i int, _ P, _ float64) bool {
 
 // mergeAway adds a removed center's count to the surviving center that
 // covers it, up to k (see SMMExt.mergeAway).
-func (s *SMMGen[P]) mergeAway(i int) {
-	if j := s.survivor(i); j >= 0 {
-		s.counts[j] += min(s.counts[i], s.k-s.counts[j])
-	}
+func (s *SMMGen[P]) mergeAway(i, j int) {
+	s.counts[j] += min(s.counts[i], s.k-s.counts[j])
 }
 
 func (s *SMMGen[P]) retain(keep []int) { s.counts = compact(s.counts, keep) }
