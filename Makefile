@@ -21,7 +21,9 @@ race:
 # invariants and SMM-EXT's delegate caps (each against its generic
 # twin), the blocked distance kernels against the generic ones, the
 # batch decoder and encoder and the snapshot codec against
-# encoding/json, and JL-projected selection quality. (FuzzTornTail runs
+# encoding/json, the engine's remote-clique and local-search solves
+# against the generic path on tie-heavy inputs (matrix and tiled
+# modes, 1-5 workers), and JL-projected selection quality. (FuzzTornTail runs
 # in `make durability`.) make stops a recipe at its first failing line,
 # so FuzzJLSelectionQuality, which fails on streams with fewer distinct
 # points than k (see CHANGES.md), runs last, after every other target
@@ -35,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run 'Fuzz' -fuzz=FuzzBlockedVsGenericSqDist -fuzztime=20s ./internal/metric
 	$(GO) test -run 'Fuzz' -fuzz=FuzzPointsDecode -fuzztime=20s ./internal/api
 	$(GO) test -run 'Fuzz' -fuzz=FuzzSnapshotCodec -fuzztime=20s ./internal/api
+	$(GO) test -run 'Fuzz' -fuzz=FuzzEngineParallelTiledEquivalence -fuzztime=20s ./internal/sequential
 	$(GO) test -run 'Fuzz' -fuzz=FuzzJLSelectionQuality -fuzztime=20s ./internal/server
 
 # The fault-injection suites under the race detector: shard panics and

@@ -661,8 +661,11 @@ func main() {
 		runtime.GC()
 		fill := minTime(*reps, func() { sequential.BuildEngine(pts, metric.Euclidean, 0) })
 		runtime.GC()
+		// Each rep solves on a copy of e that holds no farthest-partner
+		// index (WithWorkers), so remote-clique runs its full pass every
+		// rep instead of reusing the index the first rep published.
 		mat, gen := minTime2(*reps,
-			func() { engineSolve(e) },
+			func() { engineSolve(e.WithWorkers(e.Workers())) },
 			func() { genericSolve() })
 		rep.Solve = append(rep.Solve, solveCase{
 			Algo: algo, N: len(pts), Dim: solveDim, K: k,
@@ -843,10 +846,12 @@ func main() {
 			if n*spDim > 65536 && spReps > 3 {
 				spReps = 3 // the tiled and high-d cells run whole-seconds each
 			}
+			// Each rep solves on an unindexed copy, so it times the
+			// sharded pass rather than the index the check above published.
 			fns := make([]func(), 0, len(sweep)+1)
 			for i := range engines {
 				e := engines[i]
-				fns = append(fns, func() { sequential.MaxDispersionPairsEngine(pts, e, spK) })
+				fns = append(fns, func() { sequential.MaxDispersionPairsEngine(pts, e.WithWorkers(e.Workers()), spK) })
 			}
 			fns = append(fns, func() { sequential.MaxDispersionPairs(pts, spK, generic3) })
 			runtime.GC()

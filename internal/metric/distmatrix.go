@@ -182,7 +182,11 @@ func (m *DistMatrix) Grown(p *Points, strideCap, workers int) *DistMatrix {
 // values until Grown overwrites them. It panics when q is not prev's
 // store or the dimensions differ. workers bounds the fill and copy
 // goroutines (≤ 0 means runtime.NumCPU()).
-func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) *DistMatrix {
+//
+// It also returns the row mapping it remapped by, p.MatchRows(q), so a
+// caller that carries other per-row state across the remap matches the
+// rows only once.
+func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) (*DistMatrix, []int) {
 	if q.n != prev.n || q.dim != p.dim {
 		panic(fmt.Sprintf("metric: remapping a %d-point matrix over a %d-row, %d-dimensional store into a %d-dimensional one",
 			prev.n, q.n, q.dim, p.dim))
@@ -242,7 +246,7 @@ func NewDistMatrixRemapped(p, q *Points, prev, spare *DistMatrix, workers int) *
 			}
 		}
 	})
-	return m
+	return m, old
 }
 
 // parallelRowRange shards rows [lo, hi) across worker goroutines

@@ -128,3 +128,53 @@ func BenchmarkEngineFirstAppend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCliqueSolve times a remote-clique solve (k = 16) at the
+// benchShapes in three cases: cold, on an engine with no
+// farthest-partner index, so the solve runs the full pass; after a
+// one-row Append into the stride headroom of a rebuild into a grown
+// spare buffer (BenchmarkEngineFirstAppend's grown-spare case), whose
+// index was published, so the Append derived the appended engine's;
+// and after an eviction-shaped remap of an engine with a published
+// index — one point dropped, one added — which derived the remapped
+// engine's. The Append and the remap run once, outside the timer.
+func BenchmarkCliqueSolve(b *testing.B) {
+	const k = 16
+	for _, s := range benchShapes {
+		rng := rand.New(rand.NewSource(5))
+		pts := randomVectors(rng, s.n+1, s.dim)
+		base := BuildEngine(pts[:s.n], metric.Euclidean, 1)
+		spare := base.Fork()
+		if !spare.Append(pts[s.n:]) {
+			b.Fatal("Append failed")
+		}
+		rebuilt := RebuildEngineReusing(base, spare, pts[:s.n], metric.Euclidean, 1)
+		SolveEngineIdx(diversity.RemoteClique, rebuilt, k)
+		appended := rebuilt.Fork()
+		if !appended.Append(pts[s.n:]) {
+			b.Fatal("Append failed")
+		}
+		SolveEngineIdx(diversity.RemoteClique, base, k)
+		evicted := append([]metric.Vector(nil), pts[:s.n]...)
+		evicted[s.n/2] = randomVectors(rng, 1, s.dim)[0]
+		remapped := RebuildEngine(base, evicted, metric.Euclidean, 1)
+		name := fmt.Sprintf("n=%d/d=%d", s.n, s.dim)
+		b.Run(name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				SolveEngineIdx(diversity.RemoteClique, base.WithWorkers(1), k)
+			}
+		})
+		for _, c := range []struct {
+			name string
+			e    *Engine
+		}{{name + "/append", appended}, {name + "/remap", remapped}} {
+			b.Run(c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					SolveEngineIdx(diversity.RemoteClique, c.e, k)
+				}
+			})
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"divmax/internal/diversity"
 	"divmax/internal/metric"
@@ -19,18 +20,23 @@ import (
 //
 //   - The farthest-partner pass shards, in both modes, by column
 //     ranges of the triangular pair walk — each worker owns the pairs
-//     whose larger index falls in its range, accumulates per-shard
-//     partial (farDist, farIdx) arrays, and the partials merge in shard
-//     order with strict '>': concatenating the shards' candidate
-//     subsequences in range order reproduces the sequential ascending
-//     candidate order, so the merge keeps exactly the partner the
-//     sequential scan keeps, at the sequential pass's n²/2 total work.
-//     Matrix mode reads the materialized rows; tiled mode computes
+//     whose larger index falls in its range, accumulates a per-shard
+//     partial index (distance, partner, tie flag), and the partials
+//     merge in shard order with strict '>': concatenating the shards'
+//     candidate subsequences in range order reproduces the sequential
+//     ascending candidate order, so the merge keeps exactly the partner
+//     the sequential scan keeps, at the sequential pass's n²/2 total
+//     work. Matrix mode reads the materialized rows; tiled mode computes
 //     exactly the walked entries on demand through column-range fills
 //     (metric.Points.FillSqRowsRange) — n²/2 kernel evaluations, half
 //     of what the pre-PR-5 full-row tiled fills cost — on values
 //     bit-identical by matrix symmetry ((a−b)² = (b−a)² in IEEE
-//     arithmetic). Same comparisons, same strict '>', same result.
+//     arithmetic). Same comparisons, same strict '>', same result. The
+//     pass compares squares first and takes a root only near or above
+//     the running best (rootSlack), which changes no comparison's
+//     outcome. Its result, the farthest-partner index, is kept with the
+//     engine (farIndex), and Append and RebuildEngine carry it to the
+//     engines they produce by local repair instead of a new pass.
 //   - The swap sweeps shard by candidate (column) ranges; each shard
 //     reports its best improvement in the sequential scan order, and
 //     the shard winners reduce by strictly-larger delta with exact ties
@@ -89,8 +95,12 @@ var (
 // a materialized distance matrix or the tiling parameters to stream one.
 // It is immutable after construction — solver scratch is per call — so
 // one Engine may serve concurrent solves (the divmaxd merge cache holds
-// one per merged state). Fork + Append extend an engine incrementally
-// without touching the original's view (the cache's delta-patch path).
+// one per merged state). The one addition after construction is
+// remote-clique's farthest-partner index: unless Append or RebuildEngine
+// derived it, the first remote-clique solve computes it and publishes
+// it, once and atomically, and it never changes after that. Fork +
+// Append extend an engine incrementally without touching the original's
+// view (the cache's delta-patch path).
 type Engine struct {
 	n  int
 	dm *metric.DistMatrix // full matrix; nil in tiled mode
@@ -99,6 +109,10 @@ type Engine struct {
 	// n·d values it is negligible next to the 8·n² matrix it feeds.
 	flat    metric.Points
 	workers int
+	// far is the published farthest-partner index, nil until a
+	// remote-clique solve computes it or an Append or a remap derives it.
+	// At 17 bytes a point it is negligible next to the matrix.
+	far atomic.Pointer[farIndex]
 }
 
 // BuildEngine prepares the solve engine for pts when the
@@ -129,6 +143,15 @@ func BuildEngine[P any](pts []P, d metric.Distance[P], workers int) *Engine {
 // a rebuilt union is mostly the previous one laid out again. It builds
 // from scratch when prev is nil, tiled or of another dimension. prev is
 // only read, so solves on it may run concurrently.
+//
+// When prev has published its farthest-partner index, a remap also
+// derives the new engine's index from it through the same row
+// matching (remapFarthest): an entry whose partner was untied and is
+// still present keeps it, the unmatched points are offered to it, and
+// only the other rows are re-scanned. When more than half the rows
+// would need a re-scan it derives nothing, and the first remote-clique
+// solve runs the full pass. The derived index is the one that pass
+// would compute, so solves are unchanged either way.
 func RebuildEngine[P any](prev *Engine, pts []P, d metric.Distance[P], workers int) *Engine {
 	return RebuildEngineReusing(prev, nil, pts, d, workers)
 }
@@ -173,7 +196,11 @@ func buildEngineVectors(vecs []metric.Vector, prev, spare *Engine, workers int) 
 		if spare != nil {
 			buf = spare.dm
 		}
-		e.dm = metric.NewDistMatrixRemapped(&e.flat, &prev.flat, prev.dm, buf, workers)
+		var old []int
+		e.dm, old = metric.NewDistMatrixRemapped(&e.flat, &prev.flat, prev.dm, buf, workers)
+		if pf := prev.far.Load(); pf != nil {
+			e.far.Store(e.remapFarthest(pf, old))
+		}
 	} else {
 		e.dm = metric.NewDistMatrix(&e.flat, workers)
 	}
@@ -187,10 +214,19 @@ func buildEngineVectors(vecs []metric.Vector, prev, spare *Engine, workers int) 
 // allocated buffers. Forks chain — fork the result to append again —
 // but because chained forks reuse one buffer's spare capacity, only the
 // latest engine of a chain may be extended (the divmaxd merge cache
-// serializes its patches exactly this way).
+// serializes its patches exactly this way). The copy starts with the
+// farthest-partner index e has published, if any, in a slot of its own,
+// so its Append derives from that index without writing e's.
 func (e *Engine) Fork() *Engine {
-	c := *e
-	return &c
+	c := e.clone(e.workers)
+	c.far.Store(e.far.Load())
+	return c
+}
+
+// clone copies e's view with the given resolved worker count and an
+// empty index slot.
+func (e *Engine) clone(workers int) *Engine {
+	return &Engine{n: e.n, dm: e.dm, flat: e.flat, workers: workers}
 }
 
 // Append extends the engine with vecs, as if BuildEngine had been
@@ -205,6 +241,14 @@ func (e *Engine) Fork() *Engine {
 // would have started tiled. It reports false — leaving the engine
 // unchanged — when a row's dimension disagrees with the store's;
 // callers then rebuild from scratch.
+//
+// When the engine holds a published farthest-partner index, Append
+// derives the extended engine's from it in O(Δ·n) for Δ appended
+// points, in either mode (appendFarthest): the old entries are offered
+// the appended columns, and only the appended rows are scanned. More
+// than n/2 appended points derive nothing, and the first remote-clique
+// solve runs the full pass. The derived index is the one that pass
+// would compute, so solves are unchanged either way.
 func (e *Engine) Append(vecs []metric.Vector) bool {
 	if len(vecs) == 0 {
 		return true
@@ -214,6 +258,7 @@ func (e *Engine) Append(vecs []metric.Vector) bool {
 			return false
 		}
 	}
+	n0 := e.n
 	for _, v := range vecs {
 		e.flat.Append(v)
 	}
@@ -225,6 +270,11 @@ func (e *Engine) Append(vecs []metric.Vector) bool {
 			e.dm = nil
 		}
 	}
+	var f *farIndex
+	if pf := e.far.Load(); pf != nil {
+		f = e.appendFarthest(pf, n0)
+	}
+	e.far.Store(f)
 	return true
 }
 
@@ -316,11 +366,11 @@ func (e *Engine) Workers() int { return e.workers }
 // worker bound (≤ 0 means runtime.NumCPU()), sharing the underlying
 // matrix or flat store — so a worker sweep (cmd/bench) pays one fill,
 // not one per count. The copy is as immutable and concurrency-safe as
-// the original, and selections are bit-identical for every value.
+// the original, and selections are bit-identical for every value. It
+// starts without a farthest-partner index, in a slot of its own, so its
+// first remote-clique solve runs the full pass at its worker count.
 func (e *Engine) WithWorkers(workers int) *Engine {
-	c := *e
-	c.workers = resolveWorkers(workers)
-	return &c
+	return e.clone(resolveWorkers(workers))
 }
 
 func resolveWorkers(workers int) int {
@@ -392,17 +442,101 @@ func (e *Engine) sqRowInto(i int, buf []float64) []float64 {
 	return buf[:e.n]
 }
 
-// farthestPartners runs the Ω(n²) farthest-partner pass: on return,
-// farDist[i]/farIdx[i] hold the distance to and index of the point
-// farthest from i (ties on the lowest index), exactly as the sequential
-// triangular pass of MaxDispersionPairs computes them. Both modes walk
-// the triangular pair set — n²/2 kernel evaluations in tiled mode too,
-// streamed through FillSqRowsRange column tiles instead of the full
-// rows the pre-PR-5 tiled pass computed — sharded by column ranges of
-// the walk with per-shard partials merged in shard order (see
-// farthestTriangularShard for the order argument). Callers initialize
-// farDist to −Inf and farIdx to −1.
-func (e *Engine) farthestPartners(farDist []float64, farIdx []int) {
+// sqRowRange is sqRowInto restricted to the columns [lo, hi) of row i;
+// in tiled mode buf must hold hi−lo values.
+func (e *Engine) sqRowRange(i, lo, hi int, buf []float64) []float64 {
+	if e.dm != nil {
+		return e.dm.SqRow(i)[lo:hi]
+	}
+	e.flat.FillSqRowsRange(i, i+1, lo, hi, buf, 1)
+	return buf[:hi-lo]
+}
+
+// farIndex is the farthest-partner index of an engine's point set, the
+// O(n²) pass of MaxDispersionPairs: for each point i, dist[i] is the
+// largest root distance from i to another point, idx[i] the lowest
+// index at that distance, and tie[i] whether another index is at that
+// distance too. A point whose distances are all NaN has dist −Inf and
+// idx −1. The tie flags are what let Append and RebuildEngine carry the
+// index to a new point set by local repair (appendFarthest,
+// remapFarthest). A published index is never written again.
+type farIndex struct {
+	dist []float64
+	idx  []int
+	tie  []bool
+}
+
+func newFarIndex(n int) *farIndex {
+	f := &farIndex{dist: make([]float64, n), idx: make([]int, n), tie: make([]bool, n)}
+	for i := range f.dist {
+		f.dist[i], f.idx[i] = math.Inf(-1), -1
+	}
+	return f
+}
+
+// rootSlack scales the square s of a running best down to a bound below
+// which no square has a root equal to math.Sqrt(s). The scans compare
+// squares first and take a root only at or above that bound: √ is
+// monotone, so a smaller square can neither beat the best nor tie it,
+// and the partners and tie flags come out as if every root were taken.
+// The bound cannot be s itself, because distinct squares can share a
+// root (2 and 2+2⁻⁵¹ both give 1.4142135623730951). The squares of one
+// root span about 2⁻⁵¹ of it, relative, so 2⁻⁴⁰ is a wide margin over
+// that and over the product's rounding; in the subnormal range, where
+// the margin rounds away, distinct squares have distinct roots.
+const rootSlack = 1 - 0x1p-40
+
+// offer folds candidate j, at square sq from point i, into entry i: a
+// larger root takes the entry, an equal one sets the tie flag and keeps
+// the lower index. Offers commute, so candidates may come in any order.
+func (f *farIndex) offer(i, j int, sq float64) {
+	switch d := math.Sqrt(sq); {
+	case d > f.dist[i]:
+		f.dist[i], f.idx[i], f.tie[i] = d, j, false
+	case d == f.dist[i]:
+		f.tie[i] = true
+		f.idx[i] = min(f.idx[i], j)
+	}
+}
+
+// scanRow sets entry i from row, point i's squared distances to every
+// point, comparing squares first as the full pass does.
+func (f *farIndex) scanRow(i int, row []float64) {
+	best, bi, bt, blo := math.Inf(-1), -1, false, math.Inf(-1)
+	for j, sq := range row {
+		if sq >= blo && j != i {
+			if d := math.Sqrt(sq); d > best {
+				best, bi, bt, blo = d, j, false, sq*rootSlack
+			} else if d == best {
+				bt = true
+			}
+		}
+	}
+	f.dist[i], f.idx[i], f.tie[i] = best, bi, bt
+}
+
+// farthest returns the engine's farthest-partner index, running the full
+// pass and publishing its result when no index is published yet.
+// Concurrent first solves may each run the pass; they compute the same
+// index, and the first to finish publishes it.
+func (e *Engine) farthest() *farIndex {
+	if f := e.far.Load(); f != nil {
+		return f
+	}
+	f := e.farthestPartners()
+	e.far.CompareAndSwap(nil, f)
+	return f
+}
+
+// farthestPartners runs the Ω(n²) farthest-partner pass, exactly as the
+// sequential triangular pass of MaxDispersionPairs computes each
+// partner, plus the tie flags. Both modes walk the triangular pair set —
+// n²/2 kernel evaluations in tiled mode too, streamed through
+// FillSqRowsRange column tiles instead of the full rows the pre-PR-5
+// tiled pass computed — sharded by column ranges of the walk with
+// per-shard partials merged in shard order (see farthestTriangularShard
+// for the order argument).
+func (e *Engine) farthestPartners() *farIndex {
 	n := e.n
 	// Clamp so each shard owns on average at least minScanRows rows'
 	// worth of pairs.
@@ -413,10 +547,57 @@ func (e *Engine) farthestPartners(farDist []float64, farIdx []int) {
 	if workers <= 1 {
 		// One worker: the triangular pass over the whole pair set,
 		// exactly as the generic scan runs it.
-		e.farthestTriangularShard(0, n, farDist, farIdx)
-		return
+		p := newFarPartial(n)
+		e.farthestTriangularShard(0, n, p)
+		f := p.farIndex // a copy, so the index does not keep p.lo alive
+		return &f
 	}
-	e.farthestPartnersTriangular(workers, farDist, farIdx)
+	return e.farthestPartnersTriangular(workers)
+}
+
+// farPartial is a farIndex under construction: lo[i] is entry i's
+// running bound, rootSlack times the square of its best so far (−Inf
+// before the first candidate).
+type farPartial struct {
+	farIndex
+	lo []float64
+}
+
+func newFarPartial(n int) *farPartial {
+	p := &farPartial{farIndex: *newFarIndex(n), lo: make([]float64, n)}
+	for i := range p.lo {
+		p.lo[i] = math.Inf(-1)
+	}
+	return p
+}
+
+// walk feeds the pairs (i, j0), (i, j0+1), … — with i < j0 and squares
+// seg — to both endpoints' entries, in that order, keeping the lowest
+// index on a tie. Within the segment i is only ever the smaller
+// endpoint, so its entry stays in locals and is written back once; the
+// other entries are resliced to the segment, so the loop runs without
+// bounds checks.
+func (p *farPartial) walk(i, j0 int, seg []float64) {
+	dist, idx, tie, lo := p.dist[j0:], p.idx[j0:], p.tie[j0:], p.lo[j0:]
+	dist, idx, tie, lo = dist[:len(seg)], idx[:len(seg)], tie[:len(seg)], lo[:len(seg)]
+	best, bi, bt, blo := p.dist[i], p.idx[i], p.tie[i], p.lo[i]
+	for jj, sq := range seg {
+		if sq >= blo {
+			if d := math.Sqrt(sq); d > best {
+				best, bi, bt, blo = d, j0+jj, false, sq*rootSlack
+			} else if d == best {
+				bt = true
+			}
+		}
+		if sq >= lo[jj] {
+			if d := math.Sqrt(sq); d > dist[jj] {
+				dist[jj], idx[jj], tie[jj], lo[jj] = d, i, false, sq*rootSlack
+			} else if d == dist[jj] {
+				tie[jj] = true
+			}
+		}
+	}
+	p.dist[i], p.idx[i], p.tie[i], p.lo[i] = best, bi, bt, blo
 }
 
 // triangularBounds splits the columns of the triangular pair walk into
@@ -442,79 +623,64 @@ func triangularBounds(n, workers int) []int {
 
 // farthestPartnersTriangular is the column-sharded triangular pass:
 // worker s walks the pairs (i, j) with i < j and j in its column range
-// [lo, hi), updating both endpoints in a private (farDist, farIdx)
-// partial — the same pair walk, same values, same strict '>' as the
-// sequential pass, restricted to its pair subset — and the partials
-// merge in shard order. The merge is exact: for any row r, the
-// candidates a shard feeds to r's entry arrive in ascending order
-// (pairs (i, r) during iterations i < r, then (r, j) at iteration r),
-// shards earlier in column order hold candidates that all precede later
-// shards' (r's own shard also holds the [0, r) prefix, which precedes
-// everything), and a strict '>' merge in shard order therefore keeps
-// the first maximum of the concatenated — i.e. the sequential ascending
-// — candidate sequence. Total pair work equals the sequential pass's
-// n²/2; only the O(w·n) merge is added.
-func (e *Engine) farthestPartnersTriangular(workers int, farDist []float64, farIdx []int) {
+// [lo, hi), updating both endpoints in a private partial — the same pair
+// walk, same values, same strict '>' as the sequential pass, restricted
+// to its pair subset — and the partials merge in shard order. The merge
+// is exact: for any row r, the candidates a shard feeds to r's entry
+// arrive in ascending order (pairs (i, r) during iterations i < r, then
+// (r, j) at iteration r), shards earlier in column order hold
+// candidates that all precede later shards' (r's own shard also holds
+// the [0, r) prefix, which precedes everything), and a strict '>' merge
+// in shard order therefore keeps the first maximum of the concatenated
+// — i.e. the sequential ascending — candidate sequence. An equal
+// maximum in a later shard sets the tie flag. Total pair work equals
+// the sequential pass's n²/2; only the O(w·n) merge is added.
+func (e *Engine) farthestPartnersTriangular(workers int) *farIndex {
 	n := e.n
 	bounds := triangularBounds(n, workers)
-	partDist := make([]float64, workers*n)
-	partIdx := make([]int, workers*n)
+	parts := make([]*farPartial, workers)
 	var wg sync.WaitGroup
 	for s := 0; s < workers; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			fd := partDist[s*n : s*n+n]
-			fi := partIdx[s*n : s*n+n]
-			for i := range fd {
-				fd[i] = math.Inf(-1)
-				fi[i] = -1
-			}
-			e.farthestTriangularShard(bounds[s], bounds[s+1], fd, fi)
+			parts[s] = newFarPartial(n)
+			e.farthestTriangularShard(bounds[s], bounds[s+1], parts[s])
 		}(s)
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		for s := 0; s < workers; s++ {
-			if idx := partIdx[s*n+i]; idx >= 0 && partDist[s*n+i] > farDist[i] {
-				farDist[i], farIdx[i] = partDist[s*n+i], idx
+	f := parts[0].farIndex // a copy, so the index does not keep lo alive
+	for _, p := range parts[1:] {
+		for i, j := range p.idx {
+			switch d := p.dist[i]; {
+			case j < 0:
+			case d > f.dist[i]:
+				f.dist[i], f.idx[i], f.tie[i] = d, j, p.tie[i]
+			case d == f.dist[i]:
+				f.tie[i] = true
 			}
 		}
 	}
+	return &f
 }
 
 // farthestTriangularShard walks the pairs (i, j) with i < j and j in
 // the column range [lo, hi), in the sequential order — i ascending,
 // j ascending within each i, both endpoints updated with strict '>' —
-// accumulating into fd/fi (the caller's partial, pre-initialized to
-// −Inf/−1). Matrix mode reads the materialized rows. Tiled mode
-// computes exactly the walked entries on demand — the rectangular
+// accumulating into p. Matrix mode reads the materialized rows. Tiled
+// mode computes exactly the walked entries on demand — the rectangular
 // [0, lo)×[lo, hi) block streamed through a private column tile, then
 // the diagonal block row by row from each row's i+1 offset — via
 // FillSqRowsRange, so the pass totals n²/2 kernel evaluations across
 // shards, half of what full-row fills cost. The entries are the same
 // canonical squares either way, consumed in the same order, so matrix
 // and tiled shards produce bit-identical partials.
-// Within one outer row i, entry i is only ever updated as the pair's
-// smaller endpoint (every inner j is strictly greater), so each branch
-// below keeps row i's running (best, idx) in locals and writes it back
-// once per row — the same comparisons against the same values, without
-// a bounds-checked fd[i] access per pair.
-func (e *Engine) farthestTriangularShard(lo, hi int, fd []float64, fi []int) {
+func (e *Engine) farthestTriangularShard(lo, hi int, p *farPartial) {
 	if e.dm != nil {
-		for i := 0; i < hi; i++ {
-			row := e.dm.SqRow(i)
-			best, bi := fd[i], fi[i]
-			for j := max(lo, i+1); j < hi; j++ {
-				dist := math.Sqrt(row[j])
-				if dist > best {
-					best, bi = dist, j
-				}
-				if dist > fd[j] {
-					fd[j], fi[j] = dist, i
-				}
+		for i := 0; i < hi-1; i++ {
+			if j0 := max(lo, i+1); j0 < hi {
+				p.walk(i, j0, e.dm.SqRow(i)[j0:hi])
 			}
-			fd[i], fi[i] = best, bi
 		}
 		return
 	}
@@ -537,19 +703,7 @@ func (e *Engine) farthestTriangularShard(lo, hi int, fd []float64, fi []int) {
 			b1 := min(b0+rows, lo)
 			e.flat.FillSqRowsRange(b0, b1, lo, hi, tile, 1)
 			for i := b0; i < b1; i++ {
-				seg := tile[(i-b0)*w : (i-b0)*w+w]
-				best, bi := fd[i], fi[i]
-				for jj, sq := range seg {
-					j := lo + jj
-					dist := math.Sqrt(sq)
-					if dist > best {
-						best, bi = dist, j
-					}
-					if dist > fd[j] {
-						fd[j], fi[j] = dist, i
-					}
-				}
-				fd[i], fi[i] = best, bi
+				p.walk(i, lo, tile[(i-b0)*w:(i-b0)*w+w])
 			}
 		}
 	}
@@ -557,22 +711,114 @@ func (e *Engine) farthestTriangularShard(lo, hi int, fd []float64, fi []int) {
 	// triangular tail, filled per row from its own offset.
 	buf := make([]float64, w)
 	for i := lo; i < hi-1; i++ {
-		jlo := i + 1
-		seg := buf[:hi-jlo]
-		e.flat.FillSqRowsRange(i, i+1, jlo, hi, seg, 1)
-		best, bi := fd[i], fi[i]
-		for jj, sq := range seg {
-			j := jlo + jj
-			dist := math.Sqrt(sq)
-			if dist > best {
-				best, bi = dist, j
-			}
-			if dist > fd[j] {
-				fd[j], fi[j] = dist, i
+		seg := buf[:hi-i-1]
+		e.flat.FillSqRowsRange(i, i+1, i+1, hi, seg, 1)
+		p.walk(i, i+1, seg)
+	}
+}
+
+// scanRows re-scans entries rows of f, sharded across the workers.
+func (e *Engine) scanRows(f *farIndex, rows []int) {
+	runShards(shardRanges(len(rows), e.workers, minScanRows), func(_, lo, hi int) {
+		buf := e.rowScratch()
+		for _, i := range rows[lo:hi] {
+			f.scanRow(i, e.sqRowInto(i, buf))
+		}
+	})
+}
+
+// appendFarthest derives the index of an engine just extended by Append
+// from pf, the index over its first n0 points. An old entry's best over
+// the old points is pf's, so it is offered only the appended columns,
+// and only the appended rows are scanned: O(Δ·n) for Δ appended points
+// where the full pass costs n²/2. Rows come through sqRowInto and its
+// column-range form, so it runs in both modes. It returns nil — nothing
+// derived — when more than half the rows are appended.
+func (e *Engine) appendFarthest(pf *farIndex, n0 int) *farIndex {
+	n := e.n
+	if 2*(n-n0) > n {
+		return nil
+	}
+	f := &farIndex{dist: make([]float64, n), idx: make([]int, n), tie: make([]bool, n)}
+	copy(f.dist, pf.dist)
+	copy(f.idx, pf.idx)
+	copy(f.tie, pf.tie)
+	runShards(shardRanges(n0, e.workers, minChunkRows), func(_, lo, hi int) {
+		var buf []float64
+		if e.dm == nil {
+			buf = make([]float64, n-n0)
+		}
+		for i := lo; i < hi; i++ {
+			for jj, sq := range e.sqRowRange(i, n0, n, buf) {
+				f.offer(i, n0+jj, sq)
 			}
 		}
-		fd[i], fi[i] = best, bi
+	})
+	rows := make([]int, n-n0)
+	for r := range rows {
+		rows[r] = n0 + r
 	}
+	e.scanRows(f, rows)
+	return f
+}
+
+// remapFarthest derives the index of an engine just remapped from an
+// engine with index pf, where old is the remap's row mapping (old[i] is
+// the previous row holding point i's coordinate bits, or −1). Cells are
+// position-independent, so an entry i whose previous partner p was
+// untied is still farthest from p: among the matched points only the
+// copies of p reach its distance. It keeps that partner, at p's lowest
+// new index and tied when p has several copies, and is then offered the
+// unmatched points. Every other row is re-scanned: an unmatched point, a
+// tied entry, an entry whose partner left, and an entry at distance 0
+// whose own value now has a copy, which lies at distance 0 from it. It
+// returns nil — nothing derived — when more than half the rows would
+// need a re-scan, where the full pass is cheaper.
+func (e *Engine) remapFarthest(pf *farIndex, old []int) *farIndex {
+	n := e.n
+	first := make([]int, len(pf.idx)) // lowest new index of each previous row
+	copies := make([]bool, len(pf.idx))
+	for o := range first {
+		first[o] = -1
+	}
+	var fresh []int
+	for i, o := range old {
+		switch {
+		case o < 0:
+			fresh = append(fresh, i)
+		case first[o] < 0:
+			first[o] = i
+		default:
+			copies[o] = true
+		}
+	}
+	f := newFarIndex(n)
+	var rescan []int
+	for i, o := range old {
+		if o >= 0 {
+			if p := pf.idx[o]; p >= 0 && !pf.tie[o] && first[p] >= 0 && !(copies[o] && pf.dist[o] == 0) {
+				f.dist[i], f.idx[i], f.tie[i] = pf.dist[o], first[p], copies[p]
+				continue
+			}
+		}
+		rescan = append(rescan, i)
+	}
+	if 2*len(rescan) > n {
+		return nil
+	}
+	// The kept entries are the ones holding a partner before the re-scan.
+	runShards(shardRanges(n, e.workers, minChunkRows), func(_, lo, hi int) {
+		for _, u := range fresh {
+			row := e.dm.SqRow(u)[lo:hi]
+			for ii, sq := range row {
+				if i := lo + ii; f.idx[i] >= 0 {
+					f.offer(i, u, sq)
+				}
+			}
+		}
+	})
+	e.scanRows(f, rescan)
+	return f
 }
 
 // swapThreshold is the minimum improvement a 1-swap must bring to be
@@ -695,9 +941,11 @@ func gmmEngine(e *Engine, k int) []int {
 }
 
 // maxDispersionPairsEngine is MaxDispersionPairs run index-based on the
-// engine: the farthest-partner pass shards across workers (streaming
-// row-blocks in tiled mode), the pair-taking loop and its on-demand
-// recomputes run on single rows, and the odd-k distance sums read the
+// engine: the farthest-partner index comes from the engine (published
+// by an earlier solve, derived by Append or a remap, or computed now by
+// the pass that shards across workers, streaming row-blocks in tiled
+// mode), the pair-taking loop and its on-demand recomputes run on
+// single rows of a copy of it, and the odd-k distance sums read the
 // taken points' rows through matrix symmetry. Every consulted value is
 // the square-rooted canonical square, consumed in the generic path's
 // comparison and summation order, so the selected indices are
@@ -712,25 +960,23 @@ func maxDispersionPairsEngine(e *Engine, k int) []int {
 	for i := range alive {
 		alive[i] = true
 	}
-	farDist := make([]float64, n)
-	farIdx := make([]int, n)
-	for i := range farIdx {
-		farIdx[i] = -1
-		farDist[i] = math.Inf(-1)
-	}
-	e.farthestPartners(farDist, farIdx)
+	f := e.farthest()
+	farDist := append([]float64(nil), f.dist...)
+	farIdx := append([]int(nil), f.idx...)
 	rowBuf := e.rowScratch()
 	recompute := func(i int) {
 		row := e.sqRowInto(i, rowBuf)
-		farDist[i], farIdx[i] = math.Inf(-1), -1
-		for j := 0; j < n; j++ {
-			if j == i || !alive[j] {
-				continue
-			}
-			if dist := math.Sqrt(row[j]); dist > farDist[i] {
-				farDist[i], farIdx[i] = dist, j
+		live := alive[:len(row)]
+		// A square below the best's cannot have a larger root.
+		best, bi, bsq := math.Inf(-1), -1, math.Inf(-1)
+		for j, sq := range row {
+			if sq >= bsq && j != i && live[j] {
+				if dist := math.Sqrt(sq); dist > best {
+					best, bi, bsq = dist, j, sq
+				}
 			}
 		}
+		farDist[i], farIdx[i] = best, bi
 	}
 	farthestAlivePair := func() (int, int) {
 		for {

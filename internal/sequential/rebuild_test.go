@@ -138,7 +138,11 @@ func TestRebuildEngineFallbacks(t *testing.T) {
 // FuzzRebuildEngine decodes a previous union and a new one drawn from
 // one pool of rows, so they share values (duplicates, signed zeros and
 // reorderings included), and asserts that the remapped engine equals
-// BuildEngine over the new union cell for cell.
+// BuildEngine over the new union cell for cell. prev answers
+// remote-clique first, which publishes its farthest-partner index, so
+// the rebuilt engines derive theirs from it, and an Append after the
+// rebuild derives again: remote-clique must select on them as on
+// BuildEngine's.
 func FuzzRebuildEngine(f *testing.F) {
 	f.Add(uint8(0), []byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 65, 130, 194, 3, 4, 200, 7})
 	f.Add(uint8(3), []byte{3, 0, 1, 0, 1, 0, 1, 0, 192, 193, 194, 192, 64, 65, 2})
@@ -184,9 +188,13 @@ func FuzzRebuildEngine(f *testing.F) {
 			}
 		}
 		prev := BuildEngine(prevPts, metric.Euclidean, workers)
+		if prev != nil {
+			SolveEngineIdx(diversity.RemoteClique, prev, 1)
+		}
 		want := BuildEngine(pts, metric.Euclidean, workers)
 		label := fmt.Sprintf("d=%d w=%d prev=%d new=%d", dim, workers, len(prevPts), len(pts))
-		sameEngineCells(t, label, RebuildEngine(prev, pts, metric.Euclidean, workers), want)
+		rebuilt := RebuildEngine(prev, pts, metric.Euclidean, workers)
+		sameEngineCells(t, label, rebuilt, want)
 		// A spare buffer holding another matrix's cells must not leak any.
 		spare := BuildEngine(append(prevPts, pts...), metric.Euclidean, workers)
 		got := RebuildEngineReusing(prev, spare, pts, metric.Euclidean, workers)
@@ -196,6 +204,8 @@ func FuzzRebuildEngine(f *testing.F) {
 		if got == nil {
 			return
 		}
+		sameCliqueSelections(t, label, rebuilt, want)
+		sameCliqueSelections(t, label+" spare", got, want)
 		extra := make([]metric.Vector, 1+int(sel>>5))
 		for i := range extra {
 			extra[i] = pool[int(body[i%len(body)])%size]
@@ -203,7 +213,9 @@ func FuzzRebuildEngine(f *testing.F) {
 		if !got.Append(extra) {
 			t.Fatalf("%s: Append after the spare rebuild failed", label)
 		}
-		sameEngineCells(t, label+" spare+append", got, BuildEngine(append(pts[:len(pts):len(pts)], extra...), metric.Euclidean, workers))
+		wantAppended := BuildEngine(append(pts[:len(pts):len(pts)], extra...), metric.Euclidean, workers)
+		sameEngineCells(t, label+" spare+append", got, wantAppended)
+		sameCliqueSelections(t, label+" spare+append", got, wantAppended)
 	})
 }
 

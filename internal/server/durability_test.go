@@ -191,8 +191,14 @@ func TestDurableReconfiguredRestartFailsClosed(t *testing.T) {
 		for i := 0; i < len(pts); i += 50 {
 			postIngest(t, ts.URL, pts[i:i+50])
 		}
-		if got := getStats(t, ts.URL).IngestedTotal; got != 1000*(run+1) {
-			t.Fatalf("run %d: ingested_total %d, want %d", run, got, 1000*(run+1))
+		// An ingest is acknowledged once its batch is queued, not once
+		// the shard has folded it, so wait for the count.
+		deadline := time.Now().Add(10 * time.Second)
+		for got := getStats(t, ts.URL).IngestedTotal; got != 1000*(run+1); got = getStats(t, ts.URL).IngestedTotal {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: ingested_total %d, want %d", run, got, 1000*(run+1))
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 		ts.Close()
 		srv.Close()
